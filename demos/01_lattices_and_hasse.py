@@ -10,7 +10,7 @@ from shuflat import (
     format_word,
     rank,
 )
-from shuflat.lattices import bubble_covers_dot
+from shuflat.cli import run
 
 m, n = 1, 2
 
@@ -43,7 +43,8 @@ for u, triple in degree_statistics(m, n).items():
     print(f"{format_word(u):8s} {triple.in_total:3d} {triple.in_indel:8d} {triple.in_transpose:12d}")
 
 # DOT output renders with graphviz: dot -Tpng hasse.dot -o hasse.png
+# The same export as `shuflat hasse m n --order shuf|bub --format dot`.
 print("\nDOT export of the shuffle Hasse diagram:")
-print(lat.to_dot(label=format_word))
+run(["hasse", str(m), str(n), "--order", "shuf", "--format", "dot"])
 print("\nDOT export of the bubble covers (edges annotated by kind):")
-print(bubble_covers_dot(m, n))
+run(["hasse", str(m), str(n), "--order", "bub", "--format", "dot"])

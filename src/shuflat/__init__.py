@@ -74,7 +74,6 @@ from .words import (
     parse_word,
     rank,
     shuffle_word_count,
-    subword_in,
     validate,
 )
 

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 size-cap
-refusal.  The environment variable SHUF_SIZE_CAP overrides the default
-size cap of the invoked command; an explicit --size-cap wins over both.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also a
+negative bound or cap, and an output file that cannot be written), 3
+size-cap refusal.  The environment variable SHUF_SIZE_CAP overrides the
+default size cap of the invoked command; an explicit --size-cap wins
+over both, and --force wins over all three.
 All output is deterministic: repeated runs are byte-identical.
 """
 
@@ -19,21 +21,30 @@ from .words import SizeLimitExceeded
 SCHEMA_VERSION = 1
 
 
-def _default_cap(fallback):
-    env = os.environ.get("SHUF_SIZE_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("SHUF_SIZE_CAP must be an integer") from None
-    return fallback
-
-
 def _nonneg(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
+
+
+def _size_cap(args, fallback):
+    """The size cap of a command: --force lifts it to the enumeration
+    cap, else --size-cap, else SHUF_SIZE_CAP, else ``fallback``."""
+    if getattr(args, "force", False):
+        return words.DEFAULT_SIZE_CAP
+    if args.size_cap is not None:
+        return args.size_cap
+    env = os.environ.get("SHUF_SIZE_CAP")
+    if env is None:
+        return fallback
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError("SHUF_SIZE_CAP must be an integer") from None
+    if cap < 0:
+        raise ValueError("SHUF_SIZE_CAP must be nonnegative")
+    return cap
 
 
 def _add_mn(parser):
@@ -52,26 +63,22 @@ def _parser():
     _add_mn(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
-    p.add_argument("--size-cap", type=int, default=None)
+    p.add_argument("--size-cap", type=_nonneg, default=None)
 
     p = sub.add_parser("hasse", help="export the cover digraph")
     _add_mn(p)
     p.add_argument("--order", choices=("shuf", "bub"), default="shuf")
     p.add_argument("--format", choices=("dot", "text", "json"), default="dot")
     p.add_argument("-o", "--output")
-    p.add_argument("--size-cap", type=int, default=None)
+    p.add_argument("--size-cap", type=_nonneg, default=None)
 
-    for kind, methods in (
-        ("mtriangle", triangles.M_METHODS),
-        ("htriangle", triangles.H_METHODS),
-        ("chpoly", triangles.CH_METHODS),
-    ):
+    for kind, methods in triangles.METHODS.items():
         p = sub.add_parser(kind, help=f"compute the {kind} of Shuf(m,n)")
         _add_mn(p)
         p.add_argument("--method", choices=methods, default="formula")
         p.add_argument("--json", action="store_true")
         p.add_argument("-o", "--output")
-        p.add_argument("--size-cap", type=int, default=None)
+        p.add_argument("--size-cap", type=_nonneg, default=None)
         p.add_argument(
             "--force",
             action="store_true",
@@ -90,23 +97,25 @@ def _parser():
         choices=("identities", "relations", "methods", "all"),
         default="all",
     )
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--series-max", type=int, default=8)
+    p.add_argument("--max-m", type=_nonneg, default=None)
+    p.add_argument("--max-n", type=_nonneg, default=None)
+    p.add_argument("--series-max", type=_nonneg, default=8)
     p.add_argument("--json", metavar="REPORT", help="also write a JSON report")
     return parser
 
 
 def _emit(text, output):
+    if not text.endswith("\n"):
+        text += "\n"
     if output:
         with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_enumerate(args):
-    cap = args.size_cap if args.size_cap is not None else _default_cap(words.DEFAULT_SIZE_CAP)
+    cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
     listing = words.enumerate_shuffle_words(args.m, args.n, cap)
     rendered = [words.format_word(w) for w in listing]
     if args.json:
@@ -124,30 +133,33 @@ def _cmd_enumerate(args):
 
 
 def _cmd_hasse(args):
-    cap = args.size_cap if args.size_cap is not None else _default_cap(words.DEFAULT_SIZE_CAP)
+    cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
+    # nodes are (word, rank), edges (lower, upper, kind or None); every
+    # format renders these two lists.
     if args.order == "shuf":
         poset = lattices.build_shuffle_lattice(args.m, args.n, cap)
-        edges = [
-            (words.format_word(poset.labels[a]), words.format_word(poset.labels[b]), None)
-            for a, b in poset.covers
-        ]
         nodes = [
             (words.format_word(label), poset.ranks[i])
             for i, label in enumerate(poset.labels)
         ]
-        dot = poset.to_dot(label=words.format_word)
+        edges = [(nodes[a][0], nodes[b][0], None) for a, b in poset.covers]
     else:
         listing = words.enumerate_shuffle_words(args.m, args.n, cap)
-        covers = lattices.bubble_covers(args.m, args.n, cap)
         nodes = [(words.format_word(w), words.rank(w, args.m)) for w in listing]
         edges = [
             (words.format_word(c.lower), words.format_word(c.upper), c.kind)
-            for c in covers
+            for c in lattices.bubble_covers(args.m, args.n, cap)
         ]
-        dot = lattices.bubble_covers_dot(args.m, args.n, cap)
 
     if args.format == "dot":
-        _emit(dot, args.output)
+        lines = ["digraph hasse {"]
+        lines += [f'  "{w}" [rank={r}];' for w, r in nodes]
+        lines += [
+            f'  "{lo}" -> "{hi}"' + (f" [kind={kind}]" if kind else "") + ";"
+            for lo, hi, kind in edges
+        ]
+        lines.append("}")
+        _emit("\n".join(lines), args.output)
     elif args.format == "text":
         lines = [
             f"{lo} -> {hi}" + (f" [{kind}]" if kind else "")
@@ -171,12 +183,7 @@ def _cmd_hasse(args):
 
 
 def _cmd_triangle(args):
-    if args.force:
-        cap = words.DEFAULT_SIZE_CAP
-    elif args.size_cap is not None:
-        cap = args.size_cap
-    else:
-        cap = _default_cap(triangles.BRUTE_SIZE_CAP)
+    cap = _size_cap(args, triangles.BRUTE_SIZE_CAP)
     result = triangles.compute(args.command, args.m, args.n, args.method, cap)
     if args.json:
         payload = {
@@ -286,7 +293,7 @@ def run(argv=None) -> int:
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

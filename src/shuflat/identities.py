@@ -31,6 +31,12 @@ from math import comb
 
 from . import triangles
 from .polyalg import ONE, Q, T, BivarPoly
+from .words import SizeLimitExceeded, shuffle_word_count
+
+#: Default bound of the formula and grid checks, and of the brute-force
+#: comparisons in the methods suite.
+GRID_BOUND = 6
+BRUTE_BOUND = 4
 
 
 def compositions(total, parts):
@@ -145,10 +151,19 @@ class IdentityVerdict:
         }
 
 
-def _verdict(name, params, lhs, rhs, detail=""):
+def _verdict(name, params, lhs, rhs):
     if lhs == rhs:
-        return IdentityVerdict(name, params, True, detail=detail)
-    return IdentityVerdict(name, params, False, lhs, rhs, detail)
+        return IdentityVerdict(name, params, True)
+    return IdentityVerdict(name, params, False, lhs, rhs)
+
+
+def _first_failure(name, params, cases):
+    """One verdict over a lazy iterable of (detail, lhs, rhs) cases: it
+    fails with the evidence of the first case whose sides differ."""
+    for detail, lhs, rhs in cases:
+        if lhs != rhs:
+            return IdentityVerdict(name, params, False, lhs, rhs, detail)
+    return IdentityVerdict(name, params, True)
 
 
 def verify_h_to_m(m, n) -> IdentityVerdict:
@@ -189,92 +204,64 @@ def verify_char_from_h(m, n) -> IdentityVerdict:
 # -- verification suites ------------------------------------------------
 
 
-def run_identities_suite(max_m=6, max_n=6, max_k=4):
+def run_identities_suite(max_m=GRID_BOUND, max_n=GRID_BOUND, max_k=4):
     """The composition identity on its stated ranges, plus the
     Vandermonde factor rewrite, the three-binomial sum, and the
     prefactor variant."""
     verdicts = []
+    lhs = {}
     for m in range(max_m + 1):
         for n in range(max_n + 1):
             for k in range(max_k + 1):
+                lhs[m, n, k] = inner_sum_lhs(m, n, k)
                 verdicts.append(
                     _verdict(
                         "composition-identity",
                         (m, n, k),
-                        inner_sum_lhs(m, n, k),
+                        lhs[m, n, k],
                         inner_sum_rhs(m, n, k),
                     )
                 )
-
-    bad = next(
-        (
-            (e, l)
-            for e in range(9)
-            for l in range(9)
-            if vandermonde_step(e, l)[0] != vandermonde_step(e, l)[1]
-        ),
-        None,
+    verdicts.append(
+        _first_failure(
+            "vandermonde-factor",
+            (8, 8),
+            ((f"at {(e, l)}", *vandermonde_step(e, l)) for e in range(9) for l in range(9)),
+        )
     )
-    if bad is None:
-        verdicts.append(IdentityVerdict("vandermonde-factor", (8, 8), True))
-    else:
-        lhs, rhs = vandermonde_step(*bad)
-        verdicts.append(
-            IdentityVerdict(
-                "vandermonde-factor", (8, 8), False, lhs, rhs, f"at {bad}"
-            )
+    verdicts.append(
+        _first_failure(
+            "three-binomial-sum",
+            (max_m, max_n, max_k),
+            (
+                (f"at {(m, n, k, l)}", *r_sum_sides(m, n, k, l))
+                for m in range(max_m + 1)
+                for n in range(max_n + 1)
+                for k in range(max_k + 1)
+                for l in range(m + 1)
+            ),
         )
-
-    bad = next(
-        (
-            (m, n, k, l)
-            for m in range(max_m + 1)
-            for n in range(max_n + 1)
-            for k in range(max_k + 1)
-            for l in range(m + 1)
-            if r_sum_sides(m, n, k, l)[0] != r_sum_sides(m, n, k, l)[1]
-        ),
-        None,
     )
-    if bad is None:
-        verdicts.append(
-            IdentityVerdict("three-binomial-sum", (max_m, max_n, max_k), True)
+    verdicts.append(
+        _first_failure(
+            "prefactor-identity",
+            (5, 5, 3),
+            (
+                (
+                    f"at {(m, n, k)}",
+                    inner_sum_lhs_full_exponent(m, n, k),
+                    (T + 1) ** n * lhs[m, n, k],
+                )
+                for m in range(min(max_m, 5) + 1)
+                for n in range(min(max_n, 5) + 1)
+                for k in range(min(max_k, 3) + 1)
+            ),
         )
-    else:
-        lhs, rhs = r_sum_sides(*bad)
-        verdicts.append(
-            IdentityVerdict(
-                "three-binomial-sum",
-                (max_m, max_n, max_k),
-                False,
-                lhs,
-                rhs,
-                f"at {bad}",
-            )
-        )
-
-    bad = None
-    for m in range(min(max_m, 5) + 1):
-        for n in range(min(max_n, 5) + 1):
-            for k in range(min(max_k, 3) + 1):
-                full = inner_sum_lhs_full_exponent(m, n, k)
-                expected = (T + 1) ** n * inner_sum_lhs(m, n, k)
-                if full != expected:
-                    bad = ((m, n, k), full, expected)
-                    break
-    if bad is None:
-        verdicts.append(IdentityVerdict("prefactor-identity", (5, 5, 3), True))
-    else:
-        params, lhs, rhs = bad
-        verdicts.append(
-            IdentityVerdict(
-                "prefactor-identity", (5, 5, 3), False, lhs, rhs, f"at {params}"
-            )
-        )
+    )
     return verdicts
 
 
-def run_relations_suite(max_m=6, max_n=6):
+def run_relations_suite(max_m=GRID_BOUND, max_n=GRID_BOUND):
     """Both triangle substitution relations on a grid of parameters."""
     verdicts = []
     for m in range(max_m + 1):
@@ -284,112 +271,82 @@ def run_relations_suite(max_m=6, max_n=6):
     return verdicts
 
 
-def run_methods_suite(max_m=4, max_n=4, series_max=8):
-    """Cross-validate every computation route and the specializations."""
+_KIND_PREFIX = {"mtriangle": "m", "htriangle": "h", "chpoly": "ch"}
+
+
+def _check_brute_bounds(max_m, max_n):
+    """Refuse up front when the methods suite's largest brute-force
+    lattice, Shuf(max_m, max_n), is above the brute-force cap."""
+    predicted = shuffle_word_count(max_m, max_n)
+    if predicted > triangles.BRUTE_SIZE_CAP:
+        raise SizeLimitExceeded(predicted, triangles.BRUTE_SIZE_CAP)
+
+
+def _specialization_cases(formula):
+    """(detail, lhs, rhs) for the specializations of each M-triangle in
+    the grid, and ch(1) = 0 alongside."""
+    core = Q * T - T + 1
+    for (m, n), poly in formula.items():
+        yield f"M(1,t) at {(m, n)}", poly.subs_q(1), BivarPoly.constant(1)
+        yield f"M(q,1) at {(m, n)}", poly.subs_t(1), Q ** (m + n)
+        if n == 0:
+            yield f"M(q,t) at n=0 at {(m, n)}", poly, core**m
+        if m + n >= 1:
+            yield (
+                f"ch(1) at {(m, n)}",
+                triangles.char_poly_formula(m, n).subs_q(1),
+                BivarPoly(),
+            )
+
+
+def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
+    """Cross-validate every computation route against the brute-force
+    route of its kind, then the series and the specializations."""
+    _check_brute_bounds(max_m, max_n)
     verdicts = []
     for m in range(max_m + 1):
         for n in range(max_n + 1):
-            brute = triangles.m_triangle_brute(m, n)
-            for method, value in (
-                ("interval", triangles.m_triangle_interval(m, n)),
-                ("formula", triangles.m_triangle_formula(m, n)),
-                ("compsum", triangles.m_triangle_composition_sum(m, n)),
-            ):
+            brute = {
+                kind: triangles.compute(kind, m, n, "brute").value
+                for kind in triangles.METHODS
+            }
+            for kind, method in triangles.ROUTES:
+                # The series route gets its own verdict, series-vs-formula,
+                # over the larger series_max square.
+                if method == "brute" or (kind, method) == ("mtriangle", "series"):
+                    continue
                 verdicts.append(
-                    _verdict(f"m-brute-vs-{method}", (m, n), brute, value)
+                    _verdict(
+                        f"{_KIND_PREFIX[kind]}-brute-vs-{method}",
+                        (m, n),
+                        brute[kind],
+                        triangles.compute(kind, m, n, method).value,
+                    )
                 )
-            ch_brute = triangles.compute("chpoly", m, n, "brute").value
-            verdicts.append(
-                _verdict(
-                    "ch-brute-vs-formula",
-                    (m, n),
-                    ch_brute,
-                    triangles.char_poly_formula(m, n),
-                )
-            )
-            h_brute = triangles.h_triangle_brute(m, n)
-            verdicts.append(
-                _verdict(
-                    "h-brute-vs-formula",
-                    (m, n),
-                    h_brute,
-                    triangles.h_triangle_formula(m, n),
-                )
-            )
             verdicts.append(
                 _verdict(
                     "h-rank-generating",
                     (m, n),
-                    h_brute.subs_t(1),
+                    brute["htriangle"].subs_t(1),
                     triangles.rank_generating_poly(m, n),
                 )
             )
 
     series = triangles.m_series(series_max, series_max)
-    bad = next(
-        (
-            (m, n)
-            for m in range(series_max + 1)
-            for n in range(series_max + 1)
-            if series.coefficient(m, n) != triangles.m_triangle_formula(m, n)
-        ),
-        None,
+    formula = {
+        (m, n): triangles.m_triangle_formula(m, n)
+        for m in range(series_max + 1)
+        for n in range(series_max + 1)
+    }
+    square = (series_max, series_max)
+    verdicts.append(
+        _first_failure(
+            "series-vs-formula",
+            square,
+            ((f"at {mn}", series.coefficient(*mn), poly) for mn, poly in formula.items()),
+        )
     )
-    if bad is None:
-        verdicts.append(
-            IdentityVerdict("series-vs-formula", (series_max, series_max), True)
-        )
-    else:
-        verdicts.append(
-            IdentityVerdict(
-                "series-vs-formula",
-                (series_max, series_max),
-                False,
-                series.coefficient(*bad),
-                triangles.m_triangle_formula(*bad),
-                f"at {bad}",
-            )
-        )
-
-    bad = None
-    core = Q * T - T + 1
-    for m in range(series_max + 1):
-        for n in range(series_max + 1):
-            poly = triangles.m_triangle_formula(m, n)
-            checks = [
-                (poly.subs_q(1), BivarPoly.constant(1), "M(1,t)"),
-                (poly.subs_t(1), Q ** (m + n), "M(q,1)"),
-            ]
-            if n == 0:
-                checks.append((poly, core**m, "M(q,t) at n=0"))
-            if m + n >= 1:
-                checks.append(
-                    (
-                        triangles.char_poly_formula(m, n).subs_q(1),
-                        BivarPoly(),
-                        "ch(1)",
-                    )
-                )
-            for lhs, rhs, label in checks:
-                if lhs != rhs:
-                    bad = ((m, n), lhs, rhs, label)
-                    break
-    if bad is None:
-        verdicts.append(
-            IdentityVerdict("specializations", (series_max, series_max), True)
-        )
-    else:
-        params, lhs, rhs, label = bad
-        verdicts.append(
-            IdentityVerdict(
-                "specializations",
-                (series_max, series_max),
-                False,
-                lhs,
-                rhs,
-                f"{label} at {params}",
-            )
-        )
+    verdicts.append(_first_failure("specializations", square, _specialization_cases(formula)))
 
     adjudication = triangles.adjudicate_series_cross_term()
     verdicts.append(
@@ -416,10 +373,14 @@ def cross_term_note(adjudication=None) -> str:
     )
 
 
+# Each runner takes the bounds that were set and the series bound; an
+# unset bound takes the runner's own default.
 SUITES = {
-    "identities": run_identities_suite,
-    "relations": run_relations_suite,
-    "methods": run_methods_suite,
+    "identities": lambda bounds, series_max: run_identities_suite(**bounds),
+    "relations": lambda bounds, series_max: run_relations_suite(**bounds),
+    "methods": lambda bounds, series_max: run_methods_suite(
+        **bounds, series_max=series_max
+    ),
 }
 
 
@@ -428,32 +389,27 @@ def run_suites(names, max_m=None, max_n=None, series_max=8):
 
     Default parameter bounds: brute-force comparisons up to (4, 4),
     formula and grid checks up to (6, 6), series extraction up to (8, 8).
+    An unknown name, or a methods suite whose largest brute-force lattice
+    is above the cap, is refused before any suite runs.
     """
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+    bounds = {
+        key: value
+        for key, value in (("max_m", max_m), ("max_n", max_n))
+        if value is not None
+    }
+    if "methods" in names:
+        _check_brute_bounds(
+            bounds.get("max_m", BRUTE_BOUND), bounds.get("max_n", BRUTE_BOUND)
+        )
     verdicts = []
     notes = []
     for name in names:
-        if name == "identities":
-            verdicts.extend(
-                run_identities_suite(
-                    6 if max_m is None else max_m, 6 if max_n is None else max_n
-                )
-            )
-        elif name == "relations":
-            verdicts.extend(
-                run_relations_suite(
-                    6 if max_m is None else max_m, 6 if max_n is None else max_n
-                )
-            )
-        elif name == "methods":
-            produced = run_methods_suite(
-                4 if max_m is None else max_m,
-                4 if max_n is None else max_n,
-                series_max,
-            )
-            verdicts.extend(produced)
-            for v in produced:
-                if v.name == "series-cross-term-adjudication":
-                    notes.append(v.detail)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
+        produced = SUITES[name](bounds, series_max)
+        verdicts.extend(produced)
+        notes.extend(
+            v.detail for v in produced if v.name == "series-cross-term-adjudication"
+        )
     return verdicts, notes

@@ -28,9 +28,7 @@ from .words import (
     DEFAULT_SIZE_CAP,
     Letter,
     enumerate_shuffle_words,
-    format_word,
     interval_shape,
-    rank,
     x_letters,
 )
 
@@ -134,39 +132,15 @@ def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
 
 def degree_statistics(m, n, size_cap=DEFAULT_SIZE_CAP):
     """Per-word lower-cover counts in the bubble order, split by kind."""
-    counts = {w: [0, 0] for w in enumerate_shuffle_words(m, n, size_cap)}
-    for cover in bubble_covers(m, n, size_cap):
-        pair = counts[cover.upper]
-        if cover.kind == KIND_INDEL:
-            pair[0] += 1
-        else:
-            pair[1] += 1
+    listing = enumerate_shuffle_words(m, n, size_cap)
+    counts = {w: [0, 0] for w in listing}
+    for u in listing:
+        for upper, kind in _bubble_upper_covers(u, m, n):
+            counts[upper][0 if kind == KIND_INDEL else 1] += 1
     return {
         w: DegreeTriple(indel + transpose, indel, transpose)
         for w, (indel, transpose) in counts.items()
     }
-
-
-def bubble_covers_dot(m, n, size_cap=DEFAULT_SIZE_CAP) -> str:
-    """The bubble cover digraph as DOT, edges annotated with their kind."""
-    words = enumerate_shuffle_words(m, n, size_cap)
-    lines = ["digraph hasse {"]
-    for w in words:
-        lines.append(f'  "{format_word(w)}" [rank={rank(w, m)}];')
-    for cover in bubble_covers(m, n, size_cap):
-        lines.append(
-            f'  "{format_word(cover.lower)}" -> "{format_word(cover.upper)}"'
-            f" [kind={cover.kind}];"
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def interval_factors(u, m, n):
-    """Parameter pairs (x_block, y_gap) of the factor lattices into which
-    the interval [u, top] decomposes."""
-    shape = interval_shape(u, m, n)
-    return list(zip(shape.x_blocks, shape.y_gaps))
 
 
 def interval_decomposition_map(u, m, n):
@@ -179,7 +153,8 @@ def interval_decomposition_map(u, m, n):
     x-letters minus the block offset, and each inserted y-letter is
     shifted down by the separator index on its left.
     """
-    factors = interval_factors(u, m, n)
+    shape = interval_shape(u, m, n)
+    factors = list(zip(shape.x_blocks, shape.y_gaps))
     chosen = [letter.index for letter in u if letter.family == FAMILY_Y]
     chosen_set = set(chosen)
     x_position = {letter.index: s for s, letter in enumerate(x_letters(u), start=1)}

@@ -231,8 +231,8 @@ class TruncatedSeries2:
         self.max_x = max_x
         self.max_y = max_y
         self.coeff = coeff
-        assert len(coeff) == max_x + 1
-        assert all(len(row) == max_y + 1 for row in coeff)
+        if len(coeff) != max_x + 1 or any(len(row) != max_y + 1 for row in coeff):
+            raise ValueError(f"coefficients must form a {max_x + 1} x {max_y + 1} grid")
 
     @classmethod
     def from_terms(cls, terms, max_x, max_y):

@@ -77,11 +77,6 @@ class Poset:
         members.sort(key=self.ranks.__getitem__)
         return members
 
-    def down_set(self, b: int):
-        members = _bits(self._down[b])
-        members.sort(key=self.ranks.__getitem__)
-        return members
-
     def mobius(self, a: int) -> MobiusTable:
         """Mobius values from a over its up-set (zero entries included)."""
         cached = self._mobius_cache.get(a)
@@ -138,20 +133,6 @@ class Poset:
             if mask >> lo & 1 and mask >> hi & 1
         ]
         return build_poset(labels, covers)
-
-    def to_dot(self, label=None) -> str:
-        """Hasse diagram as a DOT digraph, ranks as node attributes."""
-        if label is None:
-            label = str
-        lines = ["digraph hasse {"]
-        for i in range(self.n):
-            lines.append(f'  "{label(self.labels[i])}" [rank={self.ranks[i]}];')
-        for lo, hi in self.covers:
-            lines.append(
-                f'  "{label(self.labels[lo])}" -> "{label(self.labels[hi])}";'
-            )
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _bits(mask: int):

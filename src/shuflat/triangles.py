@@ -36,23 +36,13 @@ from math import comb
 from .lattices import build_shuffle_lattice, degree_statistics
 from .poset import NoBottom, Poset
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, series_reciprocal
-from .words import (
-    SizeLimitExceeded,
-    enumerate_shuffle_words,
-    interval_shape,
-    rank,
-    shuffle_word_count,
-)
+from .words import enumerate_shuffle_words, interval_shape, rank
 
 #: Brute-force routes refuse lattices larger than this unless forced.
 BRUTE_SIZE_CAP = 4000
 
 CROSS_TERM_Q_MINUS_1 = "q_minus_1"  # cross term -t(1-t)(q-1)xy
 CROSS_TERM_Q_PLUS_1 = "q_plus_1"  # cross term +t(1-t)(q+1)xy
-
-M_METHODS = ("brute", "interval", "formula", "compsum", "series")
-H_METHODS = ("brute", "formula")
-CH_METHODS = ("brute", "formula")
 
 
 @dataclass(frozen=True)
@@ -62,12 +52,6 @@ class TriangleResult:
     kind: str  # 'chpoly' | 'mtriangle' | 'htriangle'
     method: str
     value: BivarPoly
-
-
-def _check_brute_cap(m, n, size_cap):
-    predicted = shuffle_word_count(m, n)
-    if predicted > size_cap:
-        raise SizeLimitExceeded(predicted, size_cap)
 
 
 # -- reverse characteristic polynomial --------------------------------
@@ -99,8 +83,7 @@ def char_poly_formula(m: int, n: int) -> BivarPoly:
 
 def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """Mobius sum over all comparable pairs of the shuffle lattice."""
-    _check_brute_cap(m, n, size_cap)
-    p = build_shuffle_lattice(m, n)
+    p = build_shuffle_lattice(m, n, size_cap)
     size = m + n + 1
     coeff = [[0] * size for _ in range(size)]
     for a in range(p.n):
@@ -123,7 +106,6 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     Each word u contributes (qt)^rank(u) times the product, over its
     interval shape, of factor characteristic polynomials evaluated in t.
     """
-    _check_brute_cap(m, n, size_cap)
     qt = Q * T
     factor_cache = {}
 
@@ -237,7 +219,6 @@ def adjudicate_series_cross_term(max_m=2, max_n=2):
 
 def h_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """Census sum of q^in(u) t^in_indel(u) over the bubble covers."""
-    _check_brute_cap(m, n, size_cap)
     terms = {}
     for triple in degree_statistics(m, n, size_cap).values():
         key = (triple.in_total, triple.in_indel)
@@ -257,7 +238,6 @@ def h_triangle_formula(m: int, n: int) -> BivarPoly:
 
 def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """sum of q^rank(u) over all shuffle words."""
-    _check_brute_cap(m, n, size_cap)
     terms = {}
     for u in enumerate_shuffle_words(m, n, size_cap):
         key = (rank(u, m), 0)
@@ -267,37 +247,34 @@ def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
 # -- dispatch ----------------------------------------------------------
 
+# Every route, keyed by (kind, method) in the order the command line lists
+# them; each entry takes (m, n, size_cap).  The entries name the route
+# functions instead of holding them, so a function replaced on this module
+# (patched in a test, wrapped by a tracer) is the one that runs.
+ROUTES = {
+    ("mtriangle", "brute"): lambda m, n, cap: m_triangle_brute(m, n, cap),
+    ("mtriangle", "interval"): lambda m, n, cap: m_triangle_interval(m, n, cap),
+    ("mtriangle", "formula"): lambda m, n, cap: m_triangle_formula(m, n),
+    ("mtriangle", "compsum"): lambda m, n, cap: m_triangle_composition_sum(m, n),
+    ("mtriangle", "series"): lambda m, n, cap: m_series(m, n).coefficient(m, n),
+    ("htriangle", "brute"): lambda m, n, cap: h_triangle_brute(m, n, cap),
+    ("htriangle", "formula"): lambda m, n, cap: h_triangle_formula(m, n),
+    ("chpoly", "brute"): lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap)),
+    ("chpoly", "formula"): lambda m, n, cap: char_poly_formula(m, n),
+}
+
+#: kind -> its methods, in table order
+METHODS = {kind: tuple(meth for k, meth in ROUTES if k == kind) for kind, _ in ROUTES}
+M_METHODS = METHODS["mtriangle"]
+H_METHODS = METHODS["htriangle"]
+CH_METHODS = METHODS["chpoly"]
+
 
 def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> TriangleResult:
     """Uniform entry point used by the command line front end."""
-    if kind == "mtriangle":
-        if method == "brute":
-            value = m_triangle_brute(m, n, size_cap)
-        elif method == "interval":
-            value = m_triangle_interval(m, n, size_cap)
-        elif method == "formula":
-            value = m_triangle_formula(m, n)
-        elif method == "compsum":
-            value = m_triangle_composition_sum(m, n)
-        elif method == "series":
-            value = m_series(m, n).coefficient(m, n)
-        else:
-            raise ValueError(f"unknown mtriangle method {method!r}")
-    elif kind == "htriangle":
-        if method == "brute":
-            value = h_triangle_brute(m, n, size_cap)
-        elif method == "formula":
-            value = h_triangle_formula(m, n)
-        else:
-            raise ValueError(f"unknown htriangle method {method!r}")
-    elif kind == "chpoly":
-        if method == "brute":
-            _check_brute_cap(m, n, size_cap)
-            value = char_poly_brute(build_shuffle_lattice(m, n))
-        elif method == "formula":
-            value = char_poly_formula(m, n)
-        else:
-            raise ValueError(f"unknown chpoly method {method!r}")
-    else:
+    if kind not in METHODS:
         raise ValueError(f"unknown kind {kind!r}")
-    return TriangleResult(m, n, kind, method, value)
+    route = ROUTES.get((kind, method))
+    if route is None:
+        raise ValueError(f"unknown {kind} method {method!r}")
+    return TriangleResult(m, n, kind, method, route(m, n, size_cap))

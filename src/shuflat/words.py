@@ -141,12 +141,6 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     return out
 
 
-def subword_in(u: Word, v: Word) -> Word:
-    """The subword of u consisting of the letters that also appear in v."""
-    keep = set(v)
-    return tuple(letter for letter in u if letter in keep)
-
-
 def x_letters(word: Word) -> Word:
     return tuple(letter for letter in word if letter.family == FAMILY_X)
 

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
-from shuflat import cli
+import pytest
+
+from shuflat import cli, identities, triangles
 
 GOLDEN_M11 = "q^2*t^2 - 3*q*t^2 + 2*t^2 + 3*q*t - 3*t + 1"
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(capsys, *argv):
@@ -20,12 +24,13 @@ def test_mtriangle_formula_golden(capsys):
 
 
 def test_mtriangle_all_methods_agree(capsys):
-    outputs = set()
-    for method in ("brute", "interval", "formula", "compsum", "series"):
-        code, out, _ = run_cli(capsys, "mtriangle", "1", "2", "--method", method)
+    outputs = {}
+    for kind, method in triangles.ROUTES:
+        code, out, _ = run_cli(capsys, kind, "1", "2", "--method", method)
         assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+        outputs.setdefault(kind, set()).add(out)
+    assert list(outputs) == ["mtriangle", "htriangle", "chpoly"]
+    assert all(len(texts) == 1 for texts in outputs.values())
 
 
 def test_enumerate_golden(capsys):
@@ -59,6 +64,15 @@ def test_hasse_bub_annotations(capsys):
     assert payload["schema"] == 1
     kinds = {edge.get("kind") for edge in payload["edges"]}
     assert kinds == {"indel", "transpose"}
+
+
+@pytest.mark.parametrize("order", ["shuf", "bub"])
+@pytest.mark.parametrize("fmt", ["dot", "text", "json"])
+def test_hasse_golden(capsys, order, fmt):
+    code, out, _ = run_cli(capsys, "hasse", "1", "2", "--order", order, "--format", fmt)
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, f"hasse_1_2_{order}.{fmt}")) as fh:
+        assert out == fh.read()
 
 
 def test_htriangle_and_chpoly(capsys):
@@ -107,6 +121,57 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == GOLDEN_M11 + "\n"
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    code, out, err = run_cli(capsys, "mtriangle", "1", "1", "-o", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1",
+        "--json", missing,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_verify_bounds_rejected(capsys):
+    # used to print "0/0 checks passed" and exit 0
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "relations", "--max-m", "-3", "--max-n", "-3"
+    )
+    assert (code, out) == (2, "")
+
+
+def test_negative_series_max_rejected(capsys):
+    # used to end in an IndexError traceback
+    code, out, _ = run_cli(capsys, "verify", "--suite", "methods", "--series-max", "-1")
+    assert (code, out) == (2, "")
+
+
+def test_negative_size_cap_rejected(capsys):
+    # used to refuse every input with exit 3
+    code, out, _ = run_cli(capsys, "mtriangle", "1", "1", "--method", "brute", "--size-cap", "-5")
+    assert (code, out) == (2, "")
+
+
+def test_negative_size_cap_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("SHUF_SIZE_CAP", "-1")
+    code, out, err = run_cli(capsys, "enumerate", "1", "1")
+    assert (code, out) == (2, "")
+    assert "SHUF_SIZE_CAP" in err
+
+
+def test_oversized_brute_bounds_refused_before_any_suite(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the size check")
+
+    for runner in ("run_identities_suite", "run_relations_suite", "run_methods_suite"):
+        monkeypatch.setattr(identities, runner, must_not_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-m", "5", "--max-n", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and "15525" in err
 
 
 def test_verify_relations(capsys, tmp_path):

@@ -1,5 +1,6 @@
 from math import comb
 
+from shuflat import identities, triangles
 from shuflat.identities import (
     compositions,
     inner_sum_lhs,
@@ -121,3 +122,32 @@ def test_methods_suite_small():
     assert "series-cross-term-adjudication" in names
     note = next(v for v in verdicts if v.name == "series-cross-term-adjudication")
     assert "-t(1-t)(q-1)xy" in note.detail
+
+
+def test_prefactor_identity_reports_first_failure(monkeypatch):
+    original = inner_sum_lhs_full_exponent
+
+    def faulty(m, n, k):
+        value = original(m, n, k)
+        return value + 1 if (m, n, k) in ((1, 0, 0), (3, 2, 1)) else value
+
+    monkeypatch.setattr(identities, "inner_sum_lhs_full_exponent", faulty)
+    verdict = next(v for v in run_identities_suite(3, 2, 1) if v.name == "prefactor-identity")
+    assert not verdict.passed
+    assert verdict.detail == "at (1, 0, 0)"
+    assert verdict.lhs == faulty(1, 0, 0)
+
+
+def test_specializations_report_first_failure(monkeypatch):
+    original = triangles.m_triangle_formula
+
+    def faulty(m, n):
+        value = original(m, n)
+        return value + 1 if (m, n) in ((1, 0), (3, 2)) else value
+
+    monkeypatch.setattr(triangles, "m_triangle_formula", faulty)
+    verdict = next(
+        v for v in run_methods_suite(0, 0, series_max=3) if v.name == "specializations"
+    )
+    assert not verdict.passed
+    assert verdict.detail == "M(1,t) at (1, 0)"

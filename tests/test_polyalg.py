@@ -150,6 +150,14 @@ def test_series_reciprocal_multiplies_back_to_one():
             assert product.coefficient(i, j) == (ONE if i == j == 0 else ZERO)
 
 
+def test_series_rejects_misshaped_coefficients():
+    # a ValueError, not an assert, so that python -O keeps the check
+    with pytest.raises(ValueError):
+        TruncatedSeries2(1, 1, [[ONE, ONE]])
+    with pytest.raises(ValueError):
+        TruncatedSeries2(1, 1, [[ONE, ONE], [ONE]])
+
+
 def test_series_requires_unit_constant():
     with pytest.raises(NonUnitConstantTerm):
         series_reciprocal({(0, 0): BivarPoly.constant(2)}, 1, 1)

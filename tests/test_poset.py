@@ -156,12 +156,3 @@ def test_check_order_isomorphism():
     assert not check_order_isomorphism(p, p, [0, 0, 2])  # not a bijection
     b2 = boolean_2()
     assert not check_order_isomorphism(p, b2, [0, 1, 2])  # size mismatch
-
-
-def test_to_dot():
-    p = chain(1)
-    dot = p.to_dot()
-    assert dot.startswith("digraph hasse {")
-    assert '"0" [rank=0];' in dot
-    assert '"0" -> "1";' in dot
-    assert dot.endswith("}")

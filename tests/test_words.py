@@ -15,7 +15,6 @@ from shuflat.words import (
     parse_word,
     rank,
     shuffle_word_count,
-    subword_in,
     top_word,
     validate,
     x_letters,
@@ -144,12 +143,6 @@ def test_everything_enumerated_validates():
     for m, n in ((2, 3), (3, 2)):
         for u in enumerate_shuffle_words(m, n):
             assert validate(u, m, n) == u
-
-
-def test_subword_in():
-    assert subword_in(w("y1x1"), w("y1y2")) == w("y1")
-    assert subword_in(w("y1y2x2y3x5x6"), bottom_word(6)) == w("x2x5x6")
-    assert subword_in((), w("x1y1")) == ()
 
 
 def test_x_and_y_letters():
