@@ -26,7 +26,6 @@ from .polyalg import (
 )
 from .poset import (
     CycleDetected,
-    MobiusTable,
     NoBottom,
     NotComparable,
     NotGraded,
@@ -37,7 +36,6 @@ from .poset import (
 )
 from .triangles import (
     BRUTE_SIZE_CAP,
-    TriangleResult,
     adjudicate_series_cross_term,
     char_poly_brute,
     char_poly_formula,

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also a
-negative bound or cap, and an output file that cannot be written), 3
-size-cap refusal.  The environment variable SHUF_SIZE_CAP overrides the
-default size cap of the invoked command; an explicit --size-cap wins
-over both, and --force wins over all three.
+negative bound or cap, and an output file that cannot be written, in
+which case stdout stays empty), 3 size-cap refusal.  The environment
+variable SHUF_SIZE_CAP overrides the default size cap of the invoked
+command; an explicit --size-cap wins over both, and --force wins over
+all three.
 All output is deterministic: repeated runs are byte-identical.
 """
 
@@ -64,6 +65,7 @@ def _parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.add_argument("--size-cap", type=_nonneg, default=None)
+    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("hasse", help="export the cover digraph")
     _add_mn(p)
@@ -71,6 +73,7 @@ def _parser():
     p.add_argument("--format", choices=("dot", "text", "json"), default="dot")
     p.add_argument("-o", "--output")
     p.add_argument("--size-cap", type=_nonneg, default=None)
+    p.set_defaults(func=_cmd_hasse)
 
     for kind, methods in triangles.METHODS.items():
         p = sub.add_parser(kind, help=f"compute the {kind} of Shuf(m,n)")
@@ -84,12 +87,14 @@ def _parser():
             action="store_true",
             help="lift the brute-force size cap to the enumeration cap",
         )
+        p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("series", help="generating-series coefficients up to (M, N)")
     p.add_argument("max_m", type=_nonneg, metavar="M")
     p.add_argument("max_n", type=_nonneg, metavar="N")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
+    p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument(
@@ -101,6 +106,7 @@ def _parser():
     p.add_argument("--max-n", type=_nonneg, default=None)
     p.add_argument("--series-max", type=_nonneg, default=8)
     p.add_argument("--json", metavar="REPORT", help="also write a JSON report")
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -144,11 +150,14 @@ def _cmd_hasse(args):
         ]
         edges = [(nodes[a][0], nodes[b][0], None) for a, b in poset.covers]
     else:
+        # the edges of lattices.bubble_covers, in its order, from the one
+        # enumeration that also gives the nodes
         listing = words.enumerate_shuffle_words(args.m, args.n, cap)
         nodes = [(words.format_word(w), words.rank(w, args.m)) for w in listing]
         edges = [
-            (words.format_word(c.lower), words.format_word(c.upper), c.kind)
-            for c in lattices.bubble_covers(args.m, args.n, cap)
+            (words.format_word(u), words.format_word(upper), kind)
+            for u in listing
+            for upper, kind in lattices._bubble_upper_covers(u, args.m, args.n)
         ]
 
     if args.format == "dot":
@@ -184,19 +193,19 @@ def _cmd_hasse(args):
 
 def _cmd_triangle(args):
     cap = _size_cap(args, triangles.BRUTE_SIZE_CAP)
-    result = triangles.compute(args.command, args.m, args.n, args.method, cap)
+    value = triangles.compute(args.command, args.m, args.n, args.method, cap)
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
-            "kind": result.kind,
-            "m": result.m,
-            "n": result.n,
-            "method": result.method,
-            "terms": result.value.to_json_terms(),
+            "kind": args.command,
+            "m": args.m,
+            "n": args.n,
+            "method": args.method,
+            "terms": value.to_json_terms(),
         }
         _emit(json.dumps(payload, indent=2), args.output)
     else:
-        _emit(str(result.value), args.output)
+        _emit(str(value), args.output)
     return 0
 
 
@@ -255,7 +264,7 @@ def _cmd_verify(args):
         names, args.max_m, args.max_n, args.series_max
     )
     text, failed = emit_report(verdicts, notes)
-    sys.stdout.write(text)
+    # the report file first: a path that cannot be written leaves stdout empty
     if args.json:
         ordered = sorted(verdicts, key=lambda v: (v.name, v.params))
         payload = {
@@ -265,21 +274,9 @@ def _cmd_verify(args):
             "notes": notes,
             "verdicts": [v.to_json() for v in ordered],
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(payload, indent=2), args.json)
+    sys.stdout.write(text)
     return 0 if failed == 0 else 1
-
-
-_DISPATCH = {
-    "enumerate": _cmd_enumerate,
-    "hasse": _cmd_hasse,
-    "mtriangle": _cmd_triangle,
-    "htriangle": _cmd_triangle,
-    "chpoly": _cmd_triangle,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv=None) -> int:
@@ -289,7 +286,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 3

@@ -31,7 +31,7 @@ from math import comb
 
 from . import triangles
 from .polyalg import ONE, Q, T, BivarPoly
-from .words import SizeLimitExceeded, shuffle_word_count
+from .words import check_size
 
 #: Default bound of the formula and grid checks, and of the brute-force
 #: comparisons in the methods suite.
@@ -171,17 +171,15 @@ def verify_h_to_m(m, n) -> IdentityVerdict:
     m_poly = triangles.m_triangle_formula(m, n)
     h_poly = triangles.h_triangle_formula(m, n)
     degree = m + n
-    for q0 in range(2, degree + 3):
-        for t0 in range(2, degree + 3):
-            lhs = m_poly.evaluate(q0, t0)
-            q_arg = Fraction(t0 * (q0 - 1), 1 - t0)
-            t_arg = Fraction(q0, q0 - 1)
-            rhs = (1 - t0) ** degree * h_poly.evaluate(q_arg, t_arg)
-            if lhs != rhs:
-                return IdentityVerdict(
-                    "h-to-m", (m, n), False, lhs, rhs, f"at q={q0}, t={t0}"
-                )
-    return IdentityVerdict("h-to-m", (m, n), True)
+
+    def case(q0, t0):
+        q_arg = Fraction(t0 * (q0 - 1), 1 - t0)
+        t_arg = Fraction(q0, q0 - 1)
+        rhs = (1 - t0) ** degree * h_poly.evaluate(q_arg, t_arg)
+        return f"at q={q0}, t={t0}", m_poly.evaluate(q0, t0), rhs
+
+    grid = range(2, degree + 3)
+    return _first_failure("h-to-m", (m, n), (case(q0, t0) for q0 in grid for t0 in grid))
 
 
 def verify_char_from_h(m, n) -> IdentityVerdict:
@@ -189,16 +187,14 @@ def verify_char_from_h(m, n) -> IdentityVerdict:
     ch_poly = triangles.char_poly_formula(m, n)
     h_poly = triangles.h_triangle_formula(m, n)
     degree = m + n
-    for q0 in range(2, degree + 3):
-        lhs = ch_poly.evaluate(q0, 0)
+
+    def case(q0):
         q_arg = Fraction(q0 - 1, q0)
         t_arg = Fraction(1 - 2 * q0, q0 - 1)
         rhs = q0**degree * h_poly.evaluate(q_arg, t_arg)
-        if lhs != rhs:
-            return IdentityVerdict(
-                "char-from-h", (m, n), False, lhs, rhs, f"at q={q0}"
-            )
-    return IdentityVerdict("char-from-h", (m, n), True)
+        return f"at q={q0}", ch_poly.evaluate(q0, 0), rhs
+
+    return _first_failure("char-from-h", (m, n), map(case, range(2, degree + 3)))
 
 
 # -- verification suites ------------------------------------------------
@@ -274,14 +270,6 @@ def run_relations_suite(max_m=GRID_BOUND, max_n=GRID_BOUND):
 _KIND_PREFIX = {"mtriangle": "m", "htriangle": "h", "chpoly": "ch"}
 
 
-def _check_brute_bounds(max_m, max_n):
-    """Refuse up front when the methods suite's largest brute-force
-    lattice, Shuf(max_m, max_n), is above the brute-force cap."""
-    predicted = shuffle_word_count(max_m, max_n)
-    if predicted > triangles.BRUTE_SIZE_CAP:
-        raise SizeLimitExceeded(predicted, triangles.BRUTE_SIZE_CAP)
-
-
 def _specialization_cases(formula):
     """(detail, lhs, rhs) for the specializations of each M-triangle in
     the grid, and ch(1) = 0 alongside."""
@@ -302,12 +290,13 @@ def _specialization_cases(formula):
 def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
     """Cross-validate every computation route against the brute-force
     route of its kind, then the series and the specializations."""
-    _check_brute_bounds(max_m, max_n)
+    # refuse before any work when the largest lattice is above the cap
+    check_size(max_m, max_n, triangles.BRUTE_SIZE_CAP)
     verdicts = []
     for m in range(max_m + 1):
         for n in range(max_n + 1):
             brute = {
-                kind: triangles.compute(kind, m, n, "brute").value
+                kind: triangles.compute(kind, m, n, "brute")
                 for kind in triangles.METHODS
             }
             for kind, method in triangles.ROUTES:
@@ -320,7 +309,7 @@ def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
                         f"{_KIND_PREFIX[kind]}-brute-vs-{method}",
                         (m, n),
                         brute[kind],
-                        triangles.compute(kind, m, n, method).value,
+                        triangles.compute(kind, m, n, method),
                     )
                 )
             verdicts.append(
@@ -361,10 +350,9 @@ def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
     return verdicts
 
 
-def cross_term_note(adjudication=None) -> str:
-    """Human sentence stating which denominator cross term is the real one."""
-    if adjudication is None:
-        adjudication = triangles.adjudicate_series_cross_term()
+def cross_term_note(adjudication) -> str:
+    """Human sentence stating which denominator cross term is the real one,
+    given the verdicts of ``triangles.adjudicate_series_cross_term``."""
     minus = adjudication[triangles.CROSS_TERM_Q_MINUS_1]
     plus = adjudication[triangles.CROSS_TERM_Q_PLUS_1]
     return (
@@ -401,8 +389,10 @@ def run_suites(names, max_m=None, max_n=None, series_max=8):
         if value is not None
     }
     if "methods" in names:
-        _check_brute_bounds(
-            bounds.get("max_m", BRUTE_BOUND), bounds.get("max_n", BRUTE_BOUND)
+        check_size(
+            bounds.get("max_m", BRUTE_BOUND),
+            bounds.get("max_n", BRUTE_BOUND),
+            triangles.BRUTE_SIZE_CAP,
         )
     verdicts = []
     notes = []

@@ -57,30 +57,27 @@ def indel_successors(u, m, n):
     for pos, letter in enumerate(u):
         if letter.family == FAMILY_X:
             out.append(u[:pos] + u[pos + 1 :])
-    present = {letter.index for letter in u if letter.family == FAMILY_Y}
-    for j in range(1, n + 1):
-        if j in present:
-            continue
-        for pos in _insertion_slots(u, j):
-            out.append(u[:pos] + (Letter(FAMILY_Y, j),) + u[pos:])
+    for pos, letter in _y_insertions(u, n):
+        out.append(u[:pos] + (letter,) + u[pos:])
     out.sort(key=lambda w: (len(w), w))
     return out
 
 
-def _insertion_slots(u, j):
-    """Positions where y_j can be inserted into u without breaking the
-    increasing order of y-indices."""
-    lo = 0
-    hi = len(u)
-    for pos, letter in enumerate(u):
-        if letter.family != FAMILY_Y:
-            continue
-        if letter.index < j:
-            lo = pos + 1
-        elif letter.index > j:
-            hi = pos
-            break
-    return range(lo, hi + 1)
+def _y_insertions(u, n):
+    """(pos, y_j) for every absent y_j and every pos where inserting it
+    keeps the y-indices of u increasing."""
+    # each y-letter of u (and a sentinel past the end) bounds the slots
+    # of the absent indices below it
+    bounds = [(pos, letter.index) for pos, letter in enumerate(u) if letter.family == FAMILY_Y]
+    bounds.append((len(u), n + 1))
+    lo = below = 0
+    for hi, above in bounds:
+        for j in range(below + 1, above):
+            letter = Letter(FAMILY_Y, j)
+            for pos in range(lo, hi + 1):
+                yield pos, letter
+        lo = hi + 1
+        below = above
 
 
 def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
@@ -99,7 +96,8 @@ def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
 
 
 def _bubble_upper_covers(u, m, n):
-    """(upper, kind) pairs for the bubble covers directly above u."""
+    """(upper, kind) pairs for the bubble covers directly above u, sorted
+    by upper word (shorter first), then kind."""
     out = []
     last = len(u) - 1
     for pos, letter in enumerate(u):
@@ -109,25 +107,22 @@ def _bubble_upper_covers(u, m, n):
             else:
                 swapped = u[:pos] + (u[pos + 1], letter) + u[pos + 2 :]
                 out.append((swapped, KIND_TRANSPOSE))
-    present = {letter.index for letter in u if letter.family == FAMILY_Y}
-    for j in range(1, n + 1):
-        if j in present:
-            continue
-        for pos in _insertion_slots(u, j):
-            # right insertion: the new letter is last or precedes a y
-            if pos < len(u) and u[pos].family != FAMILY_Y:
-                continue
-            out.append((u[:pos] + (Letter(FAMILY_Y, j),) + u[pos:], KIND_INDEL))
+    for pos, letter in _y_insertions(u, n):
+        # right insertion: the new letter is last or precedes a y
+        if pos == len(u) or u[pos].family == FAMILY_Y:
+            out.append((u[:pos] + (letter,) + u[pos:], KIND_INDEL))
+    out.sort(key=lambda c: (len(c[0]), c))
     return out
 
 
 def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
-    """Every bubble cover pair for (m, n), deterministically sorted."""
-    covers = set()
-    for u in enumerate_shuffle_words(m, n, size_cap):
-        for upper, kind in _bubble_upper_covers(u, m, n):
-            covers.add(BubbleCover(u, upper, kind))
-    return sorted(covers, key=lambda c: ((len(c.lower), c.lower), (len(c.upper), c.upper), c.kind))
+    """Every bubble cover pair for (m, n), sorted by lower word in
+    enumeration order, then as ``_bubble_upper_covers`` sorts them."""
+    return [
+        BubbleCover(u, upper, kind)
+        for u in enumerate_shuffle_words(m, n, size_cap)
+        for upper, kind in _bubble_upper_covers(u, m, n)
+    ]
 
 
 def degree_statistics(m, n, size_cap=DEFAULT_SIZE_CAP):

@@ -7,13 +7,10 @@ up-set iteration cheap even for a few thousand elements.
 
 The Mobius function is computed per source over its up-set with the
 standard recursion mu(a, a) = 1, mu(a, v) = -sum of mu(a, r) over
-a <= r < v, and memoized.  Rows are immutable once computed, so a
-duplicated computation under concurrent access is harmless.
+a <= r < v.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 
 class CycleDetected(ValueError):
@@ -32,17 +29,6 @@ class NoBottom(ValueError):
     """The poset has no unique minimum element."""
 
 
-class MobiusTable(NamedTuple):
-    """Mobius values from one source: ``values[v]`` is mu(source, v).
-
-    Only elements above the source appear; values[source] == 1 and for
-    every v > source the values over [source, v] sum to zero.
-    """
-
-    source: int
-    values: dict
-
-
 class Poset:
     """Immutable finite graded poset on elements 0..n-1 with opaque labels."""
 
@@ -56,16 +42,12 @@ class Poset:
         self.bottom = bottom
         self.top = top
         self._index = {label: i for i, label in enumerate(self.labels)}
-        self._mobius_cache = {}
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
 
     def index_of(self, label):
         return self._index[label]
-
-    def rank_of(self, a: int) -> int:
-        return self.ranks[a]
 
     def leq(self, a: int, b: int) -> bool:
         """True iff b is reachable from a along covers (or a == b)."""
@@ -77,19 +59,14 @@ class Poset:
         members.sort(key=self.ranks.__getitem__)
         return members
 
-    def mobius(self, a: int) -> MobiusTable:
-        """Mobius values from a over its up-set (zero entries included)."""
-        cached = self._mobius_cache.get(a)
-        if cached is None:
-            values = dict(self._mobius_row(a))
-            for v in _bits(self._up[a]):
-                values.setdefault(v, 0)
-            cached = MobiusTable(a, values)
-            self._mobius_cache[a] = cached
-        return cached
+    def mobius(self, a: int) -> dict:
+        """{v: mu(a, v)} over the up-set of a, zero entries included."""
+        values = dict.fromkeys(_bits(self._up[a]), 0)
+        values.update(self._mobius_row(a))
+        return values
 
     def _mobius_row(self, a: int):
-        """Nonzero (v, mu(a, v)) pairs over the up-set of a, uncached.
+        """Nonzero (v, mu(a, v)) pairs over the up-set of a.
 
         Processes the up-set in rank order and keeps a bitset of the
         elements with nonzero value so far, so the inner sum touches

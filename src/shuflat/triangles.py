@@ -30,7 +30,6 @@ tempting +t(1-t)(q+1)xy variant is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics
@@ -45,15 +44,6 @@ CROSS_TERM_Q_MINUS_1 = "q_minus_1"  # cross term -t(1-t)(q-1)xy
 CROSS_TERM_Q_PLUS_1 = "q_plus_1"  # cross term +t(1-t)(q+1)xy
 
 
-@dataclass(frozen=True)
-class TriangleResult:
-    m: int
-    n: int
-    kind: str  # 'chpoly' | 'mtriangle' | 'htriangle'
-    method: str
-    value: BivarPoly
-
-
 # -- reverse characteristic polynomial --------------------------------
 
 
@@ -63,7 +53,7 @@ def char_poly_brute(p: Poset) -> BivarPoly:
         raise NoBottom("characteristic polynomial needs a unique minimum")
     terms = {}
     for v, mu in p._mobius_row(p.bottom):
-        key = (p.rank_of(v), 0)
+        key = (p.ranks[v], 0)
         terms[key] = terms.get(key, 0) + mu
     return BivarPoly(terms)
 
@@ -87,9 +77,9 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     size = m + n + 1
     coeff = [[0] * size for _ in range(size)]
     for a in range(p.n):
-        row = coeff[p.rank_of(a)]
+        row = coeff[p.ranks[a]]
         for v, mu in p._mobius_row(a):
-            row[p.rank_of(v)] += mu
+            row[p.ranks[v]] += mu
     return BivarPoly(
         {
             (i, j): coeff[i][j]
@@ -270,11 +260,11 @@ H_METHODS = METHODS["htriangle"]
 CH_METHODS = METHODS["chpoly"]
 
 
-def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> TriangleResult:
-    """Uniform entry point used by the command line front end."""
+def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
+    """The ``kind`` polynomial of Shuf(m, n) by the route ``method``."""
     if kind not in METHODS:
         raise ValueError(f"unknown kind {kind!r}")
     route = ROUTES.get((kind, method))
     if route is None:
         raise ValueError(f"unknown {kind} method {method!r}")
-    return TriangleResult(m, n, kind, method, route(m, n, size_cap))
+    return route(m, n, size_cap)

@@ -113,15 +113,20 @@ def shuffle_word_count(m: int, n: int) -> int:
     )
 
 
+def check_size(m, n, cap):
+    """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words."""
+    predicted = shuffle_word_count(m, n)
+    if predicted > cap:
+        raise SizeLimitExceeded(predicted, cap)
+
+
 def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     """All shuffle words for (m, n), in length-then-lexicographic order.
 
     The letter order is x1 < ... < xm < y1 < ... < yn.  Raises
     SizeLimitExceeded when the predicted count is above ``size_cap``.
     """
-    predicted = shuffle_word_count(m, n)
-    if predicted > size_cap:
-        raise SizeLimitExceeded(predicted, size_cap)
+    check_size(m, n, size_cap)
     out = []
     stack = []
 

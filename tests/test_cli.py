@@ -283,3 +283,31 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == GOLDEN_M11
+
+
+def test_unwritable_verify_json_leaves_stdout_empty(capsys, tmp_path):
+    # used to print a passing report before the report file failed to open
+    missing = str(tmp_path / "no-such-dir" / "x")
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1",
+        "--json", missing,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_hasse_bub_enumerates_once(capsys, monkeypatch):
+    from shuflat import lattices, words
+
+    original = words.enumerate_shuffle_words
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (words, lattices, triangles):
+        monkeypatch.setattr(module, "enumerate_shuffle_words", counting)
+    code, out, _ = run_cli(capsys, "hasse", "2", "2", "--order", "bub")
+    assert code == 0 and out.startswith("digraph hasse {")
+    assert len(calls) == 1

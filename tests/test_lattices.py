@@ -51,7 +51,7 @@ def test_shuffle_lattice_boolean_case():
             by_rank[r] = by_rank.get(r, 0) + 1
         assert by_rank == {r: comb(n, r) for r in range(n + 1)}
         if n >= 1:
-            assert p.mobius(p.bottom).values[p.top] == (-1) ** n
+            assert p.mobius(p.bottom)[p.top] == (-1) ** n
 
 
 def test_shuffle_lattice_shape():

@@ -1,0 +1,27 @@
+"""The benchmark's tracer (perfbench/trace_layers.py) re-binds named
+functions of shuflat; this checks that every name it needs still exists,
+that a traced run records the route and Mobius spans, and that restore()
+puts the originals back."""
+
+import os
+
+from shuflat import cli, poset, triangles
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def test_tracer_installs_records_and_restores(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
+    from trace_layers import Tracer
+
+    originals = (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.run(["mtriangle", "1", "1", "--method", "brute"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    recorded = {name for _, name in tracer.spans}
+    assert {"triangles.mtriangle.brute", "poset.mobius_row"} <= recorded
+    assert (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row) == originals
