@@ -5,7 +5,8 @@ negative bound or cap, and an output file that cannot be written, in
 which case stdout stays empty), 3 size-cap refusal.  The environment
 variable SHUF_SIZE_CAP overrides the default size cap of the invoked
 command; an explicit --size-cap wins over both, and --force wins over
-all three.
+all three.  The triangle commands resolve the cap only for the routes
+that read one (triangles.SIZED_ROUTES).
 All output is deterministic: repeated runs are byte-identical.
 """
 
@@ -192,7 +193,10 @@ def _cmd_hasse(args):
 
 
 def _cmd_triangle(args):
-    cap = _size_cap(args, triangles.BRUTE_SIZE_CAP)
+    # a route that reads no cap leaves --size-cap and SHUF_SIZE_CAP unread
+    cap = None
+    if (args.command, args.method) in triangles.SIZED_ROUTES:
+        cap = _size_cap(args, triangles.BRUTE_SIZE_CAP)
     value = triangles.compute(args.command, args.m, args.n, args.method, cap)
     if args.json:
         payload = {

@@ -5,9 +5,12 @@ order closure is kept as one Python int per element used as a bitset
 (bit v of ``up[a]`` says a <= v), which makes comparability O(1) and
 up-set iteration cheap even for a few thousand elements.
 
-The Mobius function is computed per source over its up-set with the
-standard recursion mu(a, a) = 1, mu(a, v) = -sum of mu(a, r) over
-a <= r < v.
+A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
+mu(a, v) = -sum of mu(a, r) over a <= r < v, taken over the up-set of a
+in rank order.  Each sum is read from value buckets: a dict mapping every
+nonzero value c to the bitset of the elements done so far that carry c,
+so sum over r < v of value(r) is sum of c * |bucket(c) & down(v)|, one
+popcount per distinct value (``bucket_sum``).
 """
 
 from __future__ import annotations
@@ -66,29 +69,16 @@ class Poset:
         return values
 
     def _mobius_row(self, a: int):
-        """Nonzero (v, mu(a, v)) pairs over the up-set of a.
-
-        Processes the up-set in rank order and keeps a bitset of the
-        elements with nonzero value so far, so the inner sum touches
-        only triples a <= r <= v with mu(a, r) != 0.
-        """
+        """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order."""
         down = self._down
-        vals = [0] * self.n
-        vals[a] = 1
-        nonzero = 1 << a
+        buckets = {1: 1 << a}
         out = [(a, 1)]
         for v in self.up_set(a):
             if v == a:
                 continue
-            mask = nonzero & down[v]
-            total = 0
-            while mask:
-                low = mask & -mask
-                total += vals[low.bit_length() - 1]
-                mask ^= low
+            total = bucket_sum(buckets, down[v])
             if total:
-                vals[v] = -total
-                nonzero |= 1 << v
+                buckets[-total] = buckets.get(-total, 0) | 1 << v
                 out.append((v, -total))
         return out
 
@@ -110,6 +100,14 @@ class Poset:
             if mask >> lo & 1 and mask >> hi & 1
         ]
         return build_poset(labels, covers)
+
+
+def bucket_sum(buckets, mask: int) -> int:
+    """sum of c * |members & mask| over the value buckets {c: members}."""
+    total = 0
+    for c, members in buckets.items():
+        total += c * (members & mask).bit_count()
+    return total
 
 
 def _bits(mask: int):

@@ -10,7 +10,9 @@ lower covers (total and of indel kind).
 
 Routes implemented:
 
-* brute force over the lattice (Mobius recursion, cover census);
+* brute force over the lattice: one Mobius row for ch, the summed
+  Mobius recursion over the order relation for M (see m_triangle_brute),
+  the bubble cover census for H;
 * the interval decomposition: M(q,t) = sum over words u of
   (qt)^rank(u) times the product of factor characteristic polynomials
   in t given by the interval shape of u;
@@ -33,7 +35,7 @@ from __future__ import annotations
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics
-from .poset import NoBottom, Poset
+from .poset import NoBottom, Poset, bucket_sum
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, series_reciprocal
 from .words import enumerate_shuffle_words, interval_shape, rank
 
@@ -72,22 +74,33 @@ def char_poly_formula(m: int, n: int) -> BivarPoly:
 
 
 def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
-    """Mobius sum over all comparable pairs of the shuffle lattice."""
+    """Mobius sum over all comparable pairs of the shuffle lattice.
+
+    With g(v) = sum over u <= v of mu(u, v) q^rank(u), the M-triangle is
+    the sum of g(v) t^rank(v), and summing mu(u, v) = -sum of mu(u, w)
+    over u <= w < v against q^rank(u) gives
+    g(v) = q^rank(v) - sum of g(w) over w < v.  The elements are taken in
+    rank order, and for each q-degree the values g(w) done so far sit in
+    value buckets, so the sum costs one popcount per bucket.  Only the
+    order relation is read: no interval factorization.
+    """
     p = build_shuffle_lattice(m, n, size_cap)
-    size = m + n + 1
-    coeff = [[0] * size for _ in range(size)]
-    for a in range(p.n):
-        row = coeff[p.ranks[a]]
-        for v, mu in p._mobius_row(a):
-            row[p.ranks[v]] += mu
-    return BivarPoly(
-        {
-            (i, j): coeff[i][j]
-            for i in range(size)
-            for j in range(size)
-            if coeff[i][j]
-        }
-    )
+    down = p._down
+    ranks = p.ranks
+    # buckets[d]: {c: bitset of the w done so far with [q^d] g(w) = c}
+    buckets = [{} for _ in range(m + n + 1)]
+    terms = {}
+    for v in sorted(range(p.n), key=ranks.__getitem__):
+        r = ranks[v]
+        bit = 1 << v
+        for d in range(r):
+            total = bucket_sum(buckets[d], down[v])
+            if total:
+                buckets[d][-total] = buckets[d].get(-total, 0) | bit
+                terms[(d, r)] = terms.get((d, r), 0) - total
+        buckets[r][1] = buckets[r].get(1, 0) | bit
+        terms[(r, r)] = terms.get((r, r), 0) + 1
+    return BivarPoly(terms)
 
 
 def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
@@ -238,19 +251,21 @@ def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 # -- dispatch ----------------------------------------------------------
 
 # Every route, keyed by (kind, method) in the order the command line lists
-# them; each entry takes (m, n, size_cap).  The entries name the route
-# functions instead of holding them, so a function replaced on this module
-# (patched in a test, wrapped by a tracer) is the one that runs.
+# them.  Each entry is (sized, route): route takes (m, n, size_cap), and
+# sized says whether it enumerates the lattice and so reads the cap.  The
+# routes name the route functions instead of holding them, so a function
+# replaced on this module (patched in a test, wrapped by a tracer) is the
+# one that runs.
 ROUTES = {
-    ("mtriangle", "brute"): lambda m, n, cap: m_triangle_brute(m, n, cap),
-    ("mtriangle", "interval"): lambda m, n, cap: m_triangle_interval(m, n, cap),
-    ("mtriangle", "formula"): lambda m, n, cap: m_triangle_formula(m, n),
-    ("mtriangle", "compsum"): lambda m, n, cap: m_triangle_composition_sum(m, n),
-    ("mtriangle", "series"): lambda m, n, cap: m_series(m, n).coefficient(m, n),
-    ("htriangle", "brute"): lambda m, n, cap: h_triangle_brute(m, n, cap),
-    ("htriangle", "formula"): lambda m, n, cap: h_triangle_formula(m, n),
-    ("chpoly", "brute"): lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap)),
-    ("chpoly", "formula"): lambda m, n, cap: char_poly_formula(m, n),
+    ("mtriangle", "brute"): (True, lambda m, n, cap: m_triangle_brute(m, n, cap)),
+    ("mtriangle", "interval"): (True, lambda m, n, cap: m_triangle_interval(m, n, cap)),
+    ("mtriangle", "formula"): (False, lambda m, n, cap: m_triangle_formula(m, n)),
+    ("mtriangle", "compsum"): (False, lambda m, n, cap: m_triangle_composition_sum(m, n)),
+    ("mtriangle", "series"): (False, lambda m, n, cap: m_series(m, n).coefficient(m, n)),
+    ("htriangle", "brute"): (True, lambda m, n, cap: h_triangle_brute(m, n, cap)),
+    ("htriangle", "formula"): (False, lambda m, n, cap: h_triangle_formula(m, n)),
+    ("chpoly", "brute"): (True, lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap))),
+    ("chpoly", "formula"): (False, lambda m, n, cap: char_poly_formula(m, n)),
 }
 
 #: kind -> its methods, in table order
@@ -258,13 +273,15 @@ METHODS = {kind: tuple(meth for k, meth in ROUTES if k == kind) for kind, _ in R
 M_METHODS = METHODS["mtriangle"]
 H_METHODS = METHODS["htriangle"]
 CH_METHODS = METHODS["chpoly"]
+#: the (kind, method) keys whose route reads the size cap
+SIZED_ROUTES = frozenset(key for key, (sized, _) in ROUTES.items() if sized)
 
 
 def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """The ``kind`` polynomial of Shuf(m, n) by the route ``method``."""
     if kind not in METHODS:
         raise ValueError(f"unknown kind {kind!r}")
-    route = ROUTES.get((kind, method))
-    if route is None:
+    if (kind, method) not in ROUTES:
         raise ValueError(f"unknown {kind} method {method!r}")
+    _, route = ROUTES[(kind, method)]
     return route(m, n, size_cap)

@@ -115,6 +115,15 @@ def test_size_cap_env_override(capsys, monkeypatch):
     assert run_cli(capsys, "enumerate", "1", "1")[0] == 2
 
 
+def test_size_cap_env_read_only_by_sized_routes(capsys, monkeypatch):
+    monkeypatch.setenv("SHUF_SIZE_CAP", "abc")
+    code, out, _ = run_cli(capsys, "mtriangle", "1", "1", "--method", "formula")
+    assert (code, out) == (0, GOLDEN_M11 + "\n")
+    code, out, err = run_cli(capsys, "mtriangle", "1", "1", "--method", "brute")
+    assert (code, out) == (2, "")
+    assert "SHUF_SIZE_CAP" in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run_cli(capsys, "mtriangle", "1", "1", "-o", str(target))

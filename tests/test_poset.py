@@ -88,6 +88,27 @@ def test_mobius_dual_recursion():
             assert rows[a][v] == -total
 
 
+def naive_mobius_row(p, a):
+    """(v, mu(a, v)) for nonzero mu over the up-set of a in rank order,
+    from mu(a, a) = 1 and mu(a, v) = -sum of mu(a, r) over a <= r < v."""
+    mu = {}
+    for v in sorted(range(p.n), key=lambda v: (p.ranks[v], v)):
+        if not p.leq(a, v):
+            continue
+        mu[v] = 1 if v == a else -sum(
+            value for r, value in mu.items() if r != v and p.leq(r, v)
+        )
+    return [(v, value) for v, value in mu.items() if value]
+
+
+def test_mobius_row_matches_naive_recursion():
+    b3 = direct_product(boolean_2(), chain(1))
+    grid = direct_product(chain(2), chain(3))
+    for p in (b3, grid, build_shuffle_lattice(2, 2)):
+        for a in range(p.n):
+            assert p._mobius_row(a) == naive_mobius_row(p, a), a
+
+
 def test_interval():
     p = chain(2)
     assert p.interval(0, 0).n == 1

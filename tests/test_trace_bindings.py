@@ -19,6 +19,9 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
     tracer.install()
     try:
         assert cli.run(["mtriangle", "1", "1", "--method", "brute"]) == 0
+        # brute M sums the recursion over the order relation; the one
+        # Mobius row is read by brute ch
+        assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
     finally:
         tracer.restore()
     capsys.readouterr()

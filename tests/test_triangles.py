@@ -67,6 +67,29 @@ def test_m_triangle_brute_examples():
     assert m_triangle_brute(1, 1) == M11
 
 
+def m_triangle_per_source(m, n):
+    """The M-triangle as one Mobius row per source: the sum over a and v
+    of mu(a, v) q^rank(a) t^rank(v)."""
+    p = build_shuffle_lattice(m, n)
+    terms = {}
+    for a in range(p.n):
+        for v, mu in p.mobius(a).items():
+            key = (p.ranks[a], p.ranks[v])
+            terms[key] = terms.get(key, 0) + mu
+    return BivarPoly(terms)
+
+
+def test_m_triangle_brute_matches_per_source_rows():
+    for m in range(8):
+        for n in range(8 - m):
+            assert m_triangle_brute(m, n) == m_triangle_per_source(m, n), (m, n)
+
+
+def test_m_triangle_brute_above_default_cap():
+    for m, n in ((5, 4), (4, 5)):
+        assert m_triangle_brute(m, n, size_cap=10**4) == m_triangle_formula(m, n)
+
+
 def test_m_triangle_formula_examples():
     for m in range(5):
         assert m_triangle_formula(m, 0) == CORE**m
