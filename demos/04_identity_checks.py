@@ -20,7 +20,9 @@ print("weak compositions of 4 into 3 parts:", len(compositions(4, 3)))
 print("first few:", compositions(4, 3)[:4])
 
 # The identity: a sum over pairs of compositions of products of small
-# binomial factors collapses to a single closed form.
+# binomial factors collapses to a single closed form.  The sum is the
+# coefficient [x^m y^n] F^(k+1) of a series power, F = sum f(e,l) x^e y^l,
+# and is computed that way.
 m, n, k = 4, 3, 2
 lhs = inner_sum_lhs(m, n, k)
 rhs = inner_sum_rhs(m, n, k)
@@ -36,16 +38,16 @@ print("\nVandermonde factor rewrite at (3,2):", f_lhs == f_rhs, "->", f_lhs)
 s_lhs, s_rhs = r_sum_sides(5, 4, 2, 3)
 print("three-binomial sum at (5,4,2,3):", s_lhs, "=", s_rhs)
 
-# Substitution relations: both sides are polynomials of degree at most
-# m+n per variable, so exact agreement on an integer grid that avoids
-# the excluded points settles them conclusively.
+# Substitution relations: multiplied by (q-1)^(m+n), both sides of each
+# relation are polynomials, so each is checked as one exact polynomial
+# equality.
 print("\nsubstitution relations:")
 for mm, nn in ((2, 2), (3, 1), (4, 3)):
     a = verify_h_to_m(mm, nn)
     b = verify_char_from_h(mm, nn)
     print(f"  (m,n)=({mm},{nn}): M from H: {a.passed}, ch from H: {b.passed}")
 
-# One grid point of the first relation, worked in the open:
+# The first relation at one rational point, worked in the open:
 mm, nn, q0, t0 = 2, 1, 3, 2
 m_val = m_triangle_formula(mm, nn).evaluate(q0, t0)
 h_val = h_triangle_formula(mm, nn).evaluate(

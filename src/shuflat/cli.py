@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also a
 negative bound or cap, and an output file that cannot be written, in
-which case stdout stays empty), 3 size-cap refusal.  The environment
-variable SHUF_SIZE_CAP overrides the default size cap of the invoked
-command; an explicit --size-cap wins over both, and --force wins over
-all three.  The triangle commands resolve the cap only for the routes
+which case stdout stays empty), 3 size-cap refusal, 4 internal error
+(any other exception: one ``internal error:`` line, no traceback).  The
+environment variable SHUF_SIZE_CAP overrides the default size cap of the
+invoked command; an explicit --size-cap wins over both, and --force wins
+over all three.  The triangle commands resolve the cap only for the routes
 that read one (triangles.SIZED_ROUTES).
 All output is deterministic: repeated runs are byte-identical.
 """
@@ -21,6 +22,10 @@ from . import identities, lattices, triangles, words
 from .words import SizeLimitExceeded
 
 SCHEMA_VERSION = 1
+
+
+class UsageError(Exception):
+    """A bad argument or environment setting: exit 2."""
 
 
 def _nonneg(text):
@@ -43,9 +48,9 @@ def _size_cap(args, fallback):
     try:
         cap = int(env)
     except ValueError:
-        raise ValueError("SHUF_SIZE_CAP must be an integer") from None
+        raise UsageError("SHUF_SIZE_CAP must be an integer") from None
     if cap < 0:
-        raise ValueError("SHUF_SIZE_CAP must be nonnegative")
+        raise UsageError("SHUF_SIZE_CAP must be nonnegative")
     return cap
 
 
@@ -100,7 +105,7 @@ def _parser():
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument(
         "--suite",
-        choices=("identities", "relations", "methods", "all"),
+        choices=(*identities.SUITES, "all"),
         default="all",
     )
     p.add_argument("--max-m", type=_nonneg, default=None)
@@ -261,9 +266,7 @@ def emit_report(verdicts, notes=()):
 
 
 def _cmd_verify(args):
-    names = (
-        ["identities", "relations", "methods"] if args.suite == "all" else [args.suite]
-    )
+    names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     verdicts, notes = identities.run_suites(
         names, args.max_m, args.max_n, args.series_max
     )
@@ -294,9 +297,12 @@ def run(argv=None) -> int:
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return 4
 
 
 def main():

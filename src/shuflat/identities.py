@@ -2,40 +2,37 @@
 
 The central identity equates a sum over pairs of weak compositions
 (eta into k+1 parts summing to m, lambda into k+1 parts summing to n)
-of products of the factors
+of products of the factors f(eta_i, lambda_i) =
 
     sum_a C(lambda_i, a) C(eta_i, a) t^a (t+1)^(eta_i - a)
 
 with the closed form C(n+k, k) sum_l C(m+k, l+k) C(n+k+l, l) t^l.
-Both sides are computed independently here, together with the
-Vandermonde rewrite of the factor and the three-binomial sum that the
-double-counting proof reduces to.
+The sum is computed as the series power [x^m y^n] F^(k+1) with
+F = sum f(e, l) x^e y^l; the Vandermonde rewrite of the factor and the
+three-binomial sum that the double-counting proof reduces to ride along.
 
 The two substitution relations tie the triangles together:
 
     M(q,t)  = (1-t)^(m+n) H(t(q-1)/(1-t), q/(q-1))
     ch(q)   = q^(m+n) H((q-1)/q, (1-2q)/(q-1))
 
-Both sides are polynomials of degree at most m+n in each variable, so
-exact agreement on an integer grid of (m+n+1) values per variable,
-chosen to avoid the excluded points q in {0, 1} and t = 1, settles each
-identity; no symbolic rational-function arithmetic is needed.
+Multiplied by (q-1)^(m+n), both sides of each relation are polynomials,
+so each relation is checked as one exact polynomial equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import triangles
-from .polyalg import ONE, Q, T, BivarPoly
+from .polyalg import Q, T, BivarPoly, TruncatedSeries2
 from .words import check_size
 
-#: Default bound of the formula and grid checks, and of the brute-force
-#: comparisons in the methods suite.
-GRID_BOUND = 6
+#: Default bound of the identity and relation checks, and of the
+#: brute-force comparisons in the methods suite.
+FORMULA_BOUND = 6
 BRUTE_BOUND = 4
 
 
@@ -74,18 +71,17 @@ def _factor_full_exponent(eta_i, lambda_i):
 
 
 def _composition_product_sum(m, n, k, factor):
-    acc = BivarPoly()
-    for eta in compositions(m, k + 1):
-        for lam in compositions(n, k + 1):
-            term = ONE
-            for e, l in zip(eta, lam):
-                term = term * factor(e, l)
-            acc = acc + term
-    return acc
+    power = series = TruncatedSeries2(
+        m, n, [[factor(e, l) for l in range(n + 1)] for e in range(m + 1)]
+    )
+    for _ in range(k):
+        power = power * series
+    return power.coefficient(m, n)
 
 
 def inner_sum_lhs(m, n, k) -> BivarPoly:
-    """Composition-pair sum of factor products (polynomial in t)."""
+    """Composition-pair sum of factor products (polynomial in t), as the
+    coefficient [x^m y^n] F^(k+1) with F = sum f(e, l) x^e y^l."""
     return _composition_product_sum(m, n, k, _factor)
 
 
@@ -167,40 +163,31 @@ def _first_failure(name, params, cases):
 
 
 def verify_h_to_m(m, n) -> IdentityVerdict:
-    """Grid check of M(q,t) = (1-t)^(m+n) H(t(q-1)/(1-t), q/(q-1))."""
-    m_poly = triangles.m_triangle_formula(m, n)
-    h_poly = triangles.h_triangle_formula(m, n)
-    degree = m + n
-
-    def case(q0, t0):
-        q_arg = Fraction(t0 * (q0 - 1), 1 - t0)
-        t_arg = Fraction(q0, q0 - 1)
-        rhs = (1 - t0) ** degree * h_poly.evaluate(q_arg, t_arg)
-        return f"at q={q0}, t={t0}", m_poly.evaluate(q0, t0), rhs
-
-    grid = range(2, degree + 3)
-    return _first_failure("h-to-m", (m, n), (case(q0, t0) for q0 in grid for t0 in grid))
+    """M(q,t) = (1-t)^d H(t(q-1)/(1-t), q/(q-1)), d = m+n, times (q-1)^d:
+    (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j."""
+    d = m + n
+    lhs = (Q - 1) ** d * triangles.m_triangle_formula(m, n)
+    rhs = BivarPoly()
+    for (i, j), c in triangles.h_triangle_formula(m, n).terms():
+        rhs = rhs + c * T**i * (Q - 1) ** (d + i - j) * (1 - T) ** (d - i) * Q**j
+    return _verdict("h-to-m", (m, n), lhs, rhs)
 
 
 def verify_char_from_h(m, n) -> IdentityVerdict:
-    """Grid check of ch(q) = q^(m+n) H((q-1)/q, (1-2q)/(q-1))."""
-    ch_poly = triangles.char_poly_formula(m, n)
-    h_poly = triangles.h_triangle_formula(m, n)
-    degree = m + n
-
-    def case(q0):
-        q_arg = Fraction(q0 - 1, q0)
-        t_arg = Fraction(1 - 2 * q0, q0 - 1)
-        rhs = q0**degree * h_poly.evaluate(q_arg, t_arg)
-        return f"at q={q0}", ch_poly.evaluate(q0, 0), rhs
-
-    return _first_failure("char-from-h", (m, n), map(case, range(2, degree + 3)))
+    """ch(q) = q^d H((q-1)/q, (1-2q)/(q-1)), d = m+n, times (q-1)^d:
+    (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j."""
+    d = m + n
+    lhs = (Q - 1) ** d * triangles.char_poly_formula(m, n)
+    rhs = BivarPoly()
+    for (i, j), c in triangles.h_triangle_formula(m, n).terms():
+        rhs = rhs + c * (Q - 1) ** (d + i - j) * Q ** (d - i) * (1 - 2 * Q) ** j
+    return _verdict("char-from-h", (m, n), lhs, rhs)
 
 
 # -- verification suites ------------------------------------------------
 
 
-def run_identities_suite(max_m=GRID_BOUND, max_n=GRID_BOUND, max_k=4):
+def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
     """The composition identity on its stated ranges, plus the
     Vandermonde factor rewrite, the three-binomial sum, and the
     prefactor variant."""
@@ -257,8 +244,9 @@ def run_identities_suite(max_m=GRID_BOUND, max_n=GRID_BOUND, max_k=4):
     return verdicts
 
 
-def run_relations_suite(max_m=GRID_BOUND, max_n=GRID_BOUND):
-    """Both triangle substitution relations on a grid of parameters."""
+def run_relations_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND):
+    """Both triangle substitution relations for every (m, n) up to the
+    bounds."""
     verdicts = []
     for m in range(max_m + 1):
         for n in range(max_n + 1):
@@ -272,7 +260,7 @@ _KIND_PREFIX = {"mtriangle": "m", "htriangle": "h", "chpoly": "ch"}
 
 def _specialization_cases(formula):
     """(detail, lhs, rhs) for the specializations of each M-triangle in
-    the grid, and ch(1) = 0 alongside."""
+    ``formula``, and ch(1) = 0 alongside."""
     core = Q * T - T + 1
     for (m, n), poly in formula.items():
         yield f"M(1,t) at {(m, n)}", poly.subs_q(1), BivarPoly.constant(1)
@@ -376,7 +364,8 @@ def run_suites(names, max_m=None, max_n=None, series_max=8):
     """Run the named suites; returns (verdicts, notes).
 
     Default parameter bounds: brute-force comparisons up to (4, 4),
-    formula and grid checks up to (6, 6), series extraction up to (8, 8).
+    identity and relation checks up to (6, 6), series extraction up to
+    (8, 8).
     An unknown name, or a methods suite whose largest brute-force lattice
     is above the cap, is refused before any suite runs.
     """

@@ -141,7 +141,7 @@ def test_criterion_6_substitution_relations():
         for n in range(7):
             ok = ok and identities.verify_h_to_m(m, n).passed
             ok = ok and identities.verify_char_from_h(m, n).passed
-    report(6, "triangle substitution relations on exact grids (m,n <= 6)", ok, started)
+    report(6, "triangle substitution relations as exact polynomial identities (m,n <= 6)", ok, started)
 
 
 def test_criterion_7_composition_identity():

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from shuflat import cli, identities, triangles
+from shuflat.poset import NotGraded
 
 GOLDEN_M11 = "q^2*t^2 - 3*q*t^2 + 2*t^2 + 3*q*t - 3*t + 1"
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -241,6 +242,7 @@ def test_verify_full_default_suite(capsys, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["passed"] is True
     assert payload["schema"] == 1
+    assert payload["suites"] == ["identities", "relations", "methods"]
     assert any(v["name"] == "composition-identity" for v in payload["verdicts"])
 
 
@@ -320,3 +322,29 @@ def test_hasse_bub_enumerates_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "hasse", "2", "2", "--order", "bub")
     assert code == 0 and out.startswith("digraph hasse {")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [RuntimeError("boom"), NotGraded("cover (0,1) does not raise rank by one")],
+    ids=["RuntimeError", "NotGraded"],
+)
+def test_internal_fault_exits_4(capsys, monkeypatch, fault):
+    # a ValueError subclass raised inside a route is not a usage error
+    def broken(m, n):
+        raise fault
+
+    monkeypatch.setattr(triangles, "m_triangle_formula", broken)
+    code, out, err = run_cli(capsys, "mtriangle", "1", "1", "--method", "formula")
+    assert (code, out) == (4, "")
+    assert err.startswith(f"internal error: {type(fault).__name__}(")
+    assert err.count("\n") == 1
+
+
+def test_huge_size_cap_is_an_internal_error_not_a_traceback(capsys):
+    # used to end in a RecursionError traceback with exit 1, the code of a
+    # verification failure
+    code, out, err = run_cli(capsys, "enumerate", "1200", "0", "--size-cap", "9" * 401)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RecursionError(") and err.count("\n") == 1
+

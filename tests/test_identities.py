@@ -14,7 +14,7 @@ from shuflat.identities import (
     verify_char_from_h,
     verify_h_to_m,
 )
-from shuflat.polyalg import ONE, T
+from shuflat.polyalg import ONE, Q, T, BivarPoly
 
 
 def test_compositions_examples():
@@ -43,6 +43,31 @@ def test_composition_identity_range():
         for n in range(5):
             for k in range(4):
                 assert inner_sum_lhs(m, n, k) == inner_sum_rhs(m, n, k), (m, n, k)
+
+
+def _literal_composition_pair_sum(m, n, k, factor):
+    # the identity's left side as written: every pair of weak compositions
+    # of m and n into k+1 parts, the product of the factors of its parts
+    acc = BivarPoly()
+    for eta in compositions(m, k + 1):
+        for lam in compositions(n, k + 1):
+            term = ONE
+            for e, l in zip(eta, lam):
+                term = term * factor(e, l)
+            acc = acc + term
+    return acc
+
+
+def test_composition_sums_match_literal_pair_sum():
+    for m in range(5):
+        for n in range(5):
+            for k in range(4):
+                literal = _literal_composition_pair_sum(m, n, k, identities._factor)
+                assert inner_sum_lhs(m, n, k) == literal, (m, n, k)
+                literal = _literal_composition_pair_sum(
+                    m, n, k, identities._factor_full_exponent
+                )
+                assert inner_sum_lhs_full_exponent(m, n, k) == literal, (m, n, k)
 
 
 def test_vandermonde_step():
@@ -88,6 +113,18 @@ def test_verify_char_from_h():
     for params in ((0, 0), (1, 1), (4, 3)):
         verdict = verify_char_from_h(*params)
         assert verdict.passed, verdict
+
+
+def test_relations_fail_on_a_wrong_h(monkeypatch):
+    original = triangles.h_triangle_formula
+    monkeypatch.setattr(triangles, "h_triangle_formula", lambda m, n: original(m, n) + Q * T)
+    for verify in (verify_h_to_m, verify_char_from_h):
+        verdict = verify(2, 2)
+        assert not verdict.passed, verify
+        assert isinstance(verdict.lhs, BivarPoly) and isinstance(verdict.rhs, BivarPoly)
+    # the extra term q*t (i = j = 1, d = 4) adds t (q-1)^4 (1-t)^3 q to the right side
+    verdict = verify_h_to_m(2, 2)
+    assert verdict.rhs - verdict.lhs == T * (Q - 1) ** 4 * (1 - T) ** 3 * Q
 
 
 def test_verdict_json_shape():

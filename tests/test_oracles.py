@@ -5,15 +5,13 @@ word syntax and the word validator."""
 import random
 from math import comb
 
-import pytest
+import hypothesis
+import sympy
+from hypothesis import strategies as st
 
 from shuflat.polyalg import BivarPoly
 from shuflat.triangles import char_poly_formula, h_triangle_formula, m_triangle_formula
 from shuflat.words import enumerate_shuffle_words, format_word, parse_word, validate
-
-sympy = pytest.importorskip("sympy")
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 q, t = sympy.symbols("q t")
 SETTINGS = hypothesis.settings(
