@@ -19,6 +19,10 @@ Routes implemented:
 * closed formulas: ch(q) = sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a),
   M(q,t) = sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a),
   H(q,t) = sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a);
+  the ch and M routes write these as integer binomial sums,
+  [q^k] ch = (-1)^k sum_a C(m,a) C(n,a) C(m+n-a, k-a) and, with
+  s = t(q-1), [s^i t^j] M = (-1)^j sum_a C(m,a) C(n,a) C(m+n-2a, i-a) C(a,j),
+  so they multiply no polynomials;
 * a composition-grouped double sum for M (via binomial identities);
 * coefficient extraction from the rational generating function
   1 / ((1 - x(qt-t+1))(1 - y(qt-t+1)) - t(1-t)(q-1)xy).
@@ -61,13 +65,19 @@ def char_poly_brute(p: Poset) -> BivarPoly:
 
 
 def char_poly_formula(m: int, n: int) -> BivarPoly:
-    """Closed form sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a)."""
-    one_minus_q = ONE - Q
-    acc = BivarPoly()
+    """Closed form sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a).
+
+    Expanding (1-q)^(m+n-a) binomially gives each coefficient as an
+    integer sum, [q^k] ch = (-1)^k sum_a C(m,a) C(n,a) C(m+n-a, k-a),
+    so no polynomial is multiplied.
+    """
+    d = m + n
+    coeffs = [0] * (d + 1)
     for a in range(min(m, n) + 1):
         c = comb(m, a) * comb(n, a)
-        acc = acc + c * (-Q) ** a * one_minus_q ** (m + n - a)
-    return acc
+        for k in range(a, d + 1):
+            coeffs[k] += c * comb(d - a, k - a)
+    return BivarPoly({(k, 0): -c if k & 1 else c for k, c in enumerate(coeffs)})
 
 
 # -- M-triangle --------------------------------------------------------
@@ -130,14 +140,36 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
 
 def m_triangle_formula(m: int, n: int) -> BivarPoly:
-    """Closed form sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a)."""
-    core = Q * T - T + 1
-    cross = T * (ONE - T) * (Q - 1)
-    acc = BivarPoly()
+    """Closed form sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a).
+
+    With s = t(q-1) the summand is C(m,a) C(n,a) s^a (1-t)^a (1+s)^(m+n-2a),
+    so [s^i t^j] M = (-1)^j sum_a C(m,a) C(n,a) C(m+n-2a, i-a) C(a,j), and
+    s^i t^j = sum_k C(i,k) (-1)^(i-k) q^k t^(i+j).  The coefficients are
+    integer sums; no polynomial is multiplied.
+    """
+    d = m + n
+    # by_s[i][j] = [s^i t^j] M
+    by_s = [[0] * (min(m, n) + 1) for _ in range(d + 1)]
     for a in range(min(m, n) + 1):
         c = comb(m, a) * comb(n, a)
-        acc = acc + c * cross**a * core ** (m + n - 2 * a)
-    return acc
+        for i in range(a, d - a + 1):
+            ci = c * comb(d - 2 * a, i - a)
+            row = by_s[i]
+            for j in range(a + 1):
+                row[j] += ci * comb(a, j)
+    terms = {}
+    for i, row in enumerate(by_s):
+        # the coefficients of (q-1)^i
+        expand = [-comb(i, k) if (i - k) & 1 else comb(i, k) for k in range(i + 1)]
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            if j & 1:
+                c = -c
+            for k, e in enumerate(expand):
+                key = (k, i + j)
+                terms[key] = terms.get(key, 0) + c * e
+    return BivarPoly(terms)
 
 
 def m_triangle_composition_sum(m: int, n: int) -> BivarPoly:
@@ -278,10 +310,16 @@ SIZED_ROUTES = frozenset(key for key, (sized, _) in ROUTES.items() if sized)
 
 
 def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
-    """The ``kind`` polynomial of Shuf(m, n) by the route ``method``."""
+    """The ``kind`` polynomial of Shuf(m, n) by the route ``method``.
+
+    Unknown kinds and methods and negative sizes raise ValueError before
+    any route runs, so every route sees the same valid input.
+    """
     if kind not in METHODS:
         raise ValueError(f"unknown kind {kind!r}")
     if (kind, method) not in ROUTES:
         raise ValueError(f"unknown {kind} method {method!r}")
+    if m < 0 or n < 0:
+        raise ValueError(f"sizes must be nonnegative, got ({m}, {n})")
     _, route = ROUTES[(kind, method)]
     return route(m, n, size_cap)

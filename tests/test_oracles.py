@@ -1,6 +1,7 @@
 """Independent oracles, used only by the tests: sympy expands the
 polynomial arithmetic and the closed forms, hypothesis round-trips the
-word syntax and the word validator."""
+word syntax and the word validator and draws sizes on which every route
+must agree with the brute route of its kind."""
 
 import random
 from math import comb
@@ -10,7 +11,14 @@ import sympy
 from hypothesis import strategies as st
 
 from shuflat.polyalg import BivarPoly
-from shuflat.triangles import char_poly_formula, h_triangle_formula, m_triangle_formula
+from shuflat.triangles import (
+    METHODS,
+    ROUTES,
+    char_poly_formula,
+    compute,
+    h_triangle_formula,
+    m_triangle_formula,
+)
 from shuflat.words import enumerate_shuffle_words, format_word, parse_word, validate
 
 q, t = sympy.symbols("q t")
@@ -93,3 +101,13 @@ def test_validate_accepts_exactly_the_enumerated_words(m, n, letters):
     except ValueError:
         accepted = False
     assert accepted == (word in set(enumerate_shuffle_words(m, n)))
+
+
+@hypothesis.settings(SETTINGS, max_examples=20)
+@hypothesis.given(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda mn: sum(mn) <= 6))
+def test_every_route_agrees_with_brute(size):
+    m, n = size
+    brute = {kind: compute(kind, m, n, "brute") for kind in METHODS}
+    for kind, method in ROUTES:
+        if method != "brute":
+            assert compute(kind, m, n, method) == brute[kind], (kind, method, m, n)

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/trace_layers.py) re-binds named
 functions of shuflat; this checks that every name it needs still exists,
-that a traced run records the route and Mobius spans, and that restore()
-puts the originals back."""
+that a traced run records the route, closed-form and Mobius spans, and
+that restore() puts the originals back."""
 
 import os
 
@@ -22,9 +22,17 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # brute M sums the recursion over the order relation; the one
         # Mobius row is read by brute ch
         assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
+        # the closed-form routes carry the closed workload's layer metrics
+        assert cli.run(["mtriangle", "2", "2", "--method", "formula"]) == 0
+        assert cli.run(["chpoly", "2", "2", "--method", "formula"]) == 0
     finally:
         tracer.restore()
     capsys.readouterr()
     recorded = {name for _, name in tracer.spans}
-    assert {"triangles.mtriangle.brute", "poset.mobius_row"} <= recorded
+    assert {
+        "triangles.mtriangle.brute",
+        "poset.mobius_row",
+        "triangles.mtriangle.formula",
+        "triangles.chpoly.formula",
+    } <= recorded
     assert (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row) == originals

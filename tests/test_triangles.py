@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from shuflat.lattices import build_shuffle_lattice
@@ -6,6 +8,7 @@ from shuflat.poset import NoBottom, build_poset
 from shuflat.triangles import (
     CROSS_TERM_Q_MINUS_1,
     CROSS_TERM_Q_PLUS_1,
+    ROUTES,
     adjudicate_series_cross_term,
     char_poly_brute,
     char_poly_formula,
@@ -44,6 +47,34 @@ def test_char_poly_formula_examples():
     assert char_poly_formula(1, 1) == 2 * Q**2 - 3 * Q + 1
     for m in range(5):
         assert char_poly_formula(m, 0) == (ONE - Q) ** m
+
+
+def char_poly_product_form(m, n):
+    """The ch closed form expanded as BivarPoly products and powers."""
+    one_minus_q = ONE - Q
+    acc = BivarPoly()
+    for a in range(min(m, n) + 1):
+        c = comb(m, a) * comb(n, a)
+        acc = acc + c * (-Q) ** a * one_minus_q ** (m + n - a)
+    return acc
+
+
+def m_triangle_product_form(m, n):
+    """The M closed form expanded as BivarPoly products and powers."""
+    core = Q * T - T + 1
+    cross = T * (ONE - T) * (Q - 1)
+    acc = BivarPoly()
+    for a in range(min(m, n) + 1):
+        c = comb(m, a) * comb(n, a)
+        acc = acc + c * cross**a * core ** (m + n - 2 * a)
+    return acc
+
+
+def test_binomial_sums_match_product_forms():
+    sizes = [(m, n) for m in range(9) for n in range(9)] + [(15, 10), (10, 15)]
+    for m, n in sizes:
+        assert char_poly_formula(m, n) == char_poly_product_form(m, n), (m, n)
+        assert m_triangle_formula(m, n) == m_triangle_product_form(m, n), (m, n)
 
 
 def test_char_poly_methods_agree():
@@ -176,6 +207,13 @@ def test_brute_size_cap():
     with pytest.raises(SizeLimitExceeded):
         m_triangle_interval(5, 5)
     assert m_triangle_interval(5, 5, size_cap=20000) == m_triangle_formula(5, 5)
+
+
+@pytest.mark.parametrize("kind, method", list(ROUTES))
+@pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
+def test_compute_rejects_negative_sizes(kind, method, m, n):
+    with pytest.raises(ValueError, match="nonnegative"):
+        compute(kind, m, n, method)
 
 
 def test_compute_dispatch():
