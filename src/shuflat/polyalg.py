@@ -12,6 +12,21 @@ A TruncatedSeries2 is a rectangular array of BivarPoly coefficients
 indexed by the (x, y) degrees.  Its reciprocal is computed by the
 triangular recurrence and is the workhorse for extracting polynomial
 families from rational generating functions.
+
+The reciprocal runs that recurrence on plain ints.  Evaluation at
+q = 2^B, t = 2^(B*W) is a ring homomorphism from Z[q, t] to Z, so the
+values of the cells obey the same recurrence, and multiplying a value
+by the term c*q^a*t^b is one shift-add, c * (v << B*(a + b*W)).  The
+map is injective on the polynomials whose q-degrees are below W and
+whose coefficients are below 2^(B-1) in absolute value: after adding
+2^(B-1) to every B-bit slot, slot a + b*W holds the coefficient of
+q^a t^b plus 2^(B-1), with no carry between slots.  Both conditions are
+met by bounds taken before the recurrence: the q-degree of a cell is at
+most the largest q-degree of D[i][j] plus that of S[m-i][n-j] over the
+terms of the recurrence, and likewise for t, and its l1 norm is at most
+the sum of |D[i][j]|_1 * |S[m-i][n-j]|_1.  W is the largest q-degree
+bound plus 1, and B is bit_length(largest norm bound) + 1 rounded up to
+whole bytes, so each cell is unpacked with one to_bytes call.
 """
 
 from __future__ import annotations
@@ -280,33 +295,131 @@ class TruncatedSeries2:
     def reciprocal(self) -> "TruncatedSeries2":
         """The series S with self * S = 1 up to the truncation order.
 
-        Uses the triangular recurrence S[m][n] = [m = n = 0] minus the
-        sum of D[i][j] * S[m-i][n-j] over (i, j) != (0, 0).  Requires
-        the constant coefficient to be exactly 1.
+        S[m][n] is [m = n = 0] minus the sum of D[i][j] * S[m-i][n-j]
+        over the nonconstant coefficients D[i][j] of self.  It runs on
+        the values at q = 2^B, t = 2^(B*W), a ring homomorphism that the
+        module docstring explains.  A first pass bounds, for every cell,
+        the q-degree, the t-degree and the l1 norm, the last by the sum
+        of |D[i][j]|_1 * |S[m-i][n-j]|_1.  The q-stride W is the largest
+        q-degree bound plus 1, and the slot width B is
+        8 * ceil((bit_length(largest norm bound) + 1) / 8) bits, so every
+        coefficient is below 2^(B-1) in absolute value.  Each D[i][j] * S
+        is one shift-add per term of D[i][j], and each cell is unpacked
+        once, inside its degree box.
+
+        Input contract: the constant coefficient must be exactly 1
+        (else NonUnitConstantTerm).  The other cells are BivarPoly with
+        integer coefficients or plain ints, which stand for constants.
+        A coefficient with a negative exponent raises ValueError before
+        any work.
         """
         if self.coeff[0][0] != ONE:
             raise NonUnitConstantTerm(
                 f"constant coefficient is {self.coeff[0][0]}, expected 1"
             )
-        nonconstant = [
-            (i, j, self.coeff[i][j])
-            for i in range(self.max_x + 1)
-            for j in range(self.max_y + 1)
-            if (i, j) != (0, 0) and self.coeff[i][j]
-        ]
-        out = [[ZERO for _ in range(self.max_y + 1)] for _ in range(self.max_x + 1)]
-        out[0][0] = ONE
-        for m in range(self.max_x + 1):
-            for n in range(self.max_y + 1):
-                if (m, n) == (0, 0):
+        rows, cols = self.max_x + 1, self.max_y + 1
+        nonconstant = []  # (i, j, terms, q-degree, t-degree, l1 norm)
+        for i in range(rows):
+            for j in range(cols):
+                cell = self.coeff[i][j]
+                if (i, j) == (0, 0) or not cell:
                     continue
-                acc = ZERO
-                for i, j, d in nonconstant:
+                terms = {(0, 0): cell} if isinstance(cell, int) else cell._terms
+                if any(dq < 0 or dt < 0 for dq, dt in terms):
+                    raise ValueError(
+                        f"coefficient of x^{i} y^{j} has a negative exponent: {cell}"
+                    )
+                nonconstant.append((
+                    i, j, terms,
+                    max(dq for dq, _ in terms),
+                    max(dt for _, dt in terms),
+                    sum(abs(c) for c in terms.values()),
+                ))
+
+        # Bounds; a cell with norm bound 0 is zero.
+        deg_q = [[0] * cols for _ in range(rows)]
+        deg_t = [[0] * cols for _ in range(rows)]
+        norm = [[0] * cols for _ in range(rows)]
+        norm[0][0] = 1
+        for m in range(rows):
+            for n in range(cols):
+                if m == n == 0:
+                    continue
+                bq = bt = l1 = 0
+                for i, j, _, dq, dt, d_norm in nonconstant:
+                    if i <= m and j <= n and norm[m - i][n - j]:
+                        l1 += d_norm * norm[m - i][n - j]
+                        bq = max(bq, dq + deg_q[m - i][n - j])
+                        bt = max(bt, dt + deg_t[m - i][n - j])
+                deg_q[m][n], deg_t[m][n], norm[m][n] = bq, bt, l1
+        width = max(map(max, deg_q)) + 1
+        size = (max(map(max, norm)).bit_length() + 8) // 8  # bytes per slot
+        bits = 8 * size
+
+        # Unpacking: biasing every slot by 2^(bits-1) makes each one an
+        # unsigned digit, read back inside the cell's degree box.
+        half = 1 << (bits - 1)
+        empty = bytes(size - 1) + b"\x80"  # the biased slot of a zero coefficient
+        top_t = max(map(max, deg_t))
+        slots = (top_t + 1) * width
+        bias = int.from_bytes(empty * slots, "little")
+        keys = [[(dq, dt) for dq in range(width)] for dt in range(top_t + 1)]
+        from_bytes = int.from_bytes
+        packed = [[0] * cols for _ in range(rows)]
+        packed[0][0] = 1
+        out = [[ZERO] * cols for _ in range(rows)]
+
+        def unpack(m):
+            row = packed[m]
+            for n in range(cols):
+                value, row[n] = row[n], 0
+                if not value:
+                    continue
+                cell_slots = (deg_t[m][n] + 1) * width
+                buf = (value + (bias >> bits * (slots - cell_slots))).to_bytes(
+                    cell_slots * size, "little"
+                )
+                box = (deg_q[m][n] + 1) * size
+                terms = {}
+                for dt in range(deg_t[m][n] + 1):
+                    start = dt * width * size
+                    chunks = [buf[k : k + size] for k in range(start, start + box, size)]
+                    for key, chunk in zip(keys[dt], chunks):
+                        if chunk != empty:
+                            terms[key] = from_bytes(chunk, "little") - half
+                poly = BivarPoly.__new__(BivarPoly)
+                poly._terms = terms
+                out[m][n] = poly
+
+        # The recurrence on the values at q = 2^bits, t = 2^(bits*width).
+        # Row m - reach is unpacked, and its ints freed, as soon as row m
+        # is done, since no later row reads it.
+        shifts = [
+            (i, j, [(bits * (dq + dt * width), -c) for (dq, dt), c in terms.items()])
+            for i, j, terms, _, _, _ in nonconstant
+        ]
+        reach = max((i for i, _, _ in shifts), default=0)
+        for m in range(rows):
+            for n in range(cols):
+                if not norm[m][n] or m == n == 0:
+                    continue
+                acc = 0
+                for i, j, pairs in shifts:
                     if i <= m and j <= n:
-                        s = out[m - i][n - j]
+                        s = packed[m - i][n - j]
                         if s:
-                            acc = acc + d * s
-                out[m][n] = -acc
+                            for shift, c in pairs:
+                                if c == 1:
+                                    acc += s << shift
+                                elif c == -1:
+                                    acc -= s << shift
+                                else:
+                                    acc += c * (s << shift)
+                packed[m][n] = acc
+            if m >= reach:
+                unpack(m - reach)
+        for m in range(max(rows - reach, 0), rows):
+            unpack(m)
         return TruncatedSeries2(self.max_x, self.max_y, out)
 
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import comb
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from shuflat.polyalg import (
     ONE,
@@ -13,6 +15,15 @@ from shuflat.polyalg import (
     NonUnitConstantTerm,
     TruncatedSeries2,
     series_reciprocal,
+)
+from shuflat.triangles import (
+    CROSS_TERM_Q_MINUS_1,
+    CROSS_TERM_Q_PLUS_1,
+    series_denominator_terms,
+)
+
+SETTINGS = hypothesis.settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
 )
 
 
@@ -163,3 +174,97 @@ def test_series_requires_unit_constant():
         series_reciprocal({(0, 0): BivarPoly.constant(2)}, 1, 1)
     with pytest.raises(NonUnitConstantTerm):
         series_reciprocal({(1, 0): ONE}, 1, 1)
+
+
+def reciprocal_oracle(series):
+    """The triangular recurrence on BivarPoly products, kept as a
+    test-only oracle for the packed-integer reciprocal."""
+    nonconstant = [
+        (i, j, series.coeff[i][j])
+        for i in range(series.max_x + 1)
+        for j in range(series.max_y + 1)
+        if (i, j) != (0, 0) and series.coeff[i][j]
+    ]
+    out = [[ZERO for _ in range(series.max_y + 1)] for _ in range(series.max_x + 1)]
+    out[0][0] = ONE
+    for m in range(series.max_x + 1):
+        for n in range(series.max_y + 1):
+            if (m, n) == (0, 0):
+                continue
+            acc = ZERO
+            for i, j, d in nonconstant:
+                if i <= m and j <= n:
+                    s = out[m - i][n - j]
+                    if s:
+                        acc = acc + d * s
+            out[m][n] = -acc
+    return TruncatedSeries2(series.max_x, series.max_y, out)
+
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1, 2**100, -(2**100)]),
+    st.sampled_from([8, 64, 100]).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+)
+sparse_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficients, max_size=3
+).map(BivarPoly)
+
+
+@st.composite
+def denominators(draw):
+    """A unit constant term and up to four other cells, each a sparse
+    BivarPoly (possibly zero) or a raw int; the grid is at most 6 x 6."""
+    max_x = draw(st.integers(0, 5))
+    max_y = draw(st.integers(0, 5))
+    coeff = [[ZERO] * (max_y + 1) for _ in range(max_x + 1)]
+    coeff[0][0] = draw(st.sampled_from([ONE, 1]))
+    cells = st.tuples(st.integers(0, max_x), st.integers(0, max_y))
+    terms = draw(
+        st.dictionaries(
+            cells.filter(lambda ij: ij != (0, 0)),
+            st.one_of(sparse_polys, st.integers(-3, 3)),
+            max_size=4,
+        )
+    )
+    for (i, j), value in terms.items():
+        coeff[i][j] = value
+    return TruncatedSeries2(max_x, max_y, coeff)
+
+
+@SETTINGS
+@hypothesis.given(denominators())
+def test_reciprocal_matches_recurrence_oracle(d):
+    assert d.reciprocal() == reciprocal_oracle(d)
+
+
+@pytest.mark.parametrize("variant", [CROSS_TERM_Q_MINUS_1, CROSS_TERM_Q_PLUS_1])
+def test_series_denominators_match_recurrence_oracle(variant):
+    d = TruncatedSeries2.from_terms(series_denominator_terms(variant), 12, 12)
+    assert d.reciprocal() == reciprocal_oracle(d)
+
+
+def test_negated_variable_denominator_matches_recurrence_oracle():
+    # the negated-variable denominator of demos/03_series_extraction.py
+    core = Q * T + T + 1
+    terms = {
+        (0, 0): ONE,
+        (1, 0): -core,
+        (0, 1): -core,
+        (1, 1): core * core - T * (T + 1) * (Q + 1),
+    }
+    d = TruncatedSeries2.from_terms(terms, 8, 8)
+    assert d.reciprocal() == reciprocal_oracle(d)
+
+
+def test_reciprocal_reads_raw_int_cells_as_constants():
+    s = TruncatedSeries2(2, 0, [[1], [-1], [0]]).reciprocal()
+    assert s.coeff == [[ONE], [ONE], [ONE]]
+    s = TruncatedSeries2(1, 1, [[1, -2], [0, 3]]).reciprocal()
+    assert s.coeff == [[ONE, BivarPoly.constant(2)], [ZERO, BivarPoly.constant(-3)]]
+
+
+def test_reciprocal_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        series_reciprocal({(0, 0): ONE, (1, 0): BivarPoly({(-1, 0): -1})}, 3, 0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        series_reciprocal({(0, 0): ONE, (1, 1): BivarPoly({(2, -1): 5})}, 1, 1)
