@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,28 @@ def test_verify_deterministic(capsys):
     first = run_cli(capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1")
     second = run_cli(capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1")
     assert first == second
+
+
+def test_verify_outputs_match_pinned_references(capsys):
+    # every identities and relations request the benchmark pins, checked
+    # as its client checks it: exit 0, the n/n verdict line, the digest
+    with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")) as fh:
+        entries = json.load(fh)["entries"]
+    checked = []
+    for key, entry in entries.items():
+        parts = key.split(" ")
+        if parts[0] != "verify" or parts[1] not in ("identities", "relations"):
+            continue
+        _, suite, max_m, max_n, _ = parts
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", suite, "--max-m", max_m, "--max-n", max_n
+        )
+        n = entry["verdicts"]
+        assert code == 0, key
+        assert out.rstrip("\n").rsplit("\n", 1)[-1] == f"{n}/{n} checks passed", key
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], key
+        checked.append(key)
+    assert len(checked) == 34
 
 
 def test_verify_full_default_suite(capsys, tmp_path):
