@@ -7,9 +7,10 @@ of products of the factors f(eta_i, lambda_i) =
     sum_a C(lambda_i, a) C(eta_i, a) t^a (t+1)^(eta_i - a)
 
 with the closed form C(n+k, k) sum_l C(m+k, l+k) C(n+k+l, l) t^l.
-The sum is computed as the series power [x^m y^n] F^(k+1) with
-F = sum f(e, l) x^e y^l; the Vandermonde rewrite of the factor and the
-three-binomial sum that the double-counting proof reduces to ride along.
+A suite reads every sum [x^m y^n] F^(k+1), F = sum f(e, l) x^e y^l,
+from one table of F, ..., F^(k+1) truncated at its bounds; the Vandermonde
+rewrite of the factor and the three-binomial sum that the double-counting
+proof reduces to ride along.
 
 The two substitution relations tie the triangles together:
 
@@ -17,7 +18,7 @@ The two substitution relations tie the triangles together:
     ch(q)   = q^(m+n) H((q-1)/q, (1-2q)/(q-1))
 
 Multiplied by (q-1)^(m+n), both sides of each relation are polynomials,
-so each relation is checked as one exact polynomial equality.
+so one substitution loop checks each as an exact polynomial equality.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from . import triangles
-from .polyalg import Q, T, BivarPoly, TruncatedSeries2
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2
 from .words import check_size
 
 #: Default bound of the identity and relation checks, and of the
@@ -51,43 +52,45 @@ def compositions(total, parts):
 
 
 @lru_cache(maxsize=None)
-def _factor(eta_i, lambda_i):
-    # sum_a C(lambda_i, a) C(eta_i, a) t^a (t+1)^(eta_i - a)
+def _factor(eta_i, lambda_i, extra):
+    # sum_a C(lambda_i, a) C(eta_i, a) t^a (t+1)^(eta_i + extra - a); the
+    # identity takes extra = 0, the prefactor variant extra = lambda_i
     acc = BivarPoly()
     for a in range(min(eta_i, lambda_i) + 1):
         c = comb(lambda_i, a) * comb(eta_i, a)
-        acc = acc + c * T**a * (T + 1) ** (eta_i - a)
+        acc = acc + c * T**a * (T + 1) ** (eta_i + extra - a)
     return acc
 
 
-@lru_cache(maxsize=None)
-def _factor_full_exponent(eta_i, lambda_i):
-    # same factor with the exponent (t+1)^(eta_i + lambda_i - a)
-    acc = BivarPoly()
-    for a in range(min(eta_i, lambda_i) + 1):
-        c = comb(lambda_i, a) * comb(eta_i, a)
-        acc = acc + c * T**a * (T + 1) ** (eta_i + lambda_i - a)
-    return acc
+def _powers(first, base, count):
+    """[first, first*base, ..., first*base^count] by repeated products."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * base)
+    return out
 
 
-def _composition_product_sum(m, n, k, factor):
-    power = series = TruncatedSeries2(
-        m, n, [[factor(e, l) for l in range(n + 1)] for e in range(m + 1)]
-    )
-    for _ in range(k):
-        power = power * series
-    return power.coefficient(m, n)
+def _factor_powers(max_m, max_n, k, full_exponent):
+    """[F, ..., F^(k+1)] truncated at (max_m, max_n), F = sum f(e, l) x^e y^l
+    with extra = l if ``full_exponent`` else 0: cell (m, n) of F^(k+1) is
+    the composition-pair sum at (m, n, k)."""
+    grid = [
+        [_factor(e, l, l if full_exponent else 0) for l in range(max_n + 1)]
+        for e in range(max_m + 1)
+    ]
+    series = TruncatedSeries2(max_m, max_n, grid)
+    return _powers(series, series, k)
 
 
 def inner_sum_lhs(m, n, k) -> BivarPoly:
     """Composition-pair sum of factor products (polynomial in t), as the
     coefficient [x^m y^n] F^(k+1) with F = sum f(e, l) x^e y^l."""
-    return _composition_product_sum(m, n, k, _factor)
+    return _factor_powers(m, n, k, False)[k].coefficient(m, n)
 
 
 def inner_sum_lhs_full_exponent(m, n, k) -> BivarPoly:
     """Same sum with the (t+1)^(eta_i + lambda_i - a) factor variant."""
-    return _composition_product_sum(m, n, k, _factor_full_exponent)
+    return _factor_powers(m, n, k, True)[k].coefficient(m, n)
 
 
 def inner_sum_rhs(m, n, k) -> BivarPoly:
@@ -104,7 +107,7 @@ def vandermonde_step(eta_i, lambda_i):
     The rewrite expands (t+1)^(eta_i - a) and collects powers of t:
     sum_j C(eta_i, eta_i - j) C(lambda_i + j, j) t^j.
     """
-    lhs = _factor(eta_i, lambda_i)
+    lhs = _factor(eta_i, lambda_i, 0)
     rhs = BivarPoly(
         {
             (0, j): comb(eta_i, eta_i - j) * comb(lambda_i + j, j)
@@ -162,26 +165,31 @@ def _first_failure(name, params, cases):
     return IdentityVerdict(name, params, True)
 
 
+def _substitution_verdict(name, m, n, target, a, b, c):
+    """(q-1)^d target against sum_ij [q^i t^j]H a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n,
+    powers read from tables; a term of H outside i <= d, j <= d+i raises ValueError."""
+    d = m + n
+    a_pow, c_pow = _powers(ONE, a, d), _powers(ONE, c, d)
+    b_pow, q1_pow = _powers(ONE, b, 2 * d), _powers(ONE, Q - 1, 2 * d)
+    rhs = BivarPoly()
+    for (i, j), coeff in triangles.h_triangle_formula(m, n).terms():
+        if not (0 <= i <= d and 0 <= j <= d + i):
+            raise ValueError(f"H term q^{i}*t^{j} needs a negative power at d = {d}")
+        rhs = rhs + coeff * a_pow[i] * b_pow[j] * q1_pow[d + i - j] * c_pow[d - i]
+    return _verdict(name, (m, n), q1_pow[d] * target, rhs)
+
+
 def verify_h_to_m(m, n) -> IdentityVerdict:
     """M(q,t) = (1-t)^d H(t(q-1)/(1-t), q/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j."""
-    d = m + n
-    lhs = (Q - 1) ** d * triangles.m_triangle_formula(m, n)
-    rhs = BivarPoly()
-    for (i, j), c in triangles.h_triangle_formula(m, n).terms():
-        rhs = rhs + c * T**i * (Q - 1) ** (d + i - j) * (1 - T) ** (d - i) * Q**j
-    return _verdict("h-to-m", (m, n), lhs, rhs)
+    return _substitution_verdict("h-to-m", m, n, triangles.m_triangle_formula(m, n), T, Q, 1 - T)
 
 
 def verify_char_from_h(m, n) -> IdentityVerdict:
     """ch(q) = q^d H((q-1)/q, (1-2q)/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j."""
-    d = m + n
-    lhs = (Q - 1) ** d * triangles.char_poly_formula(m, n)
-    rhs = BivarPoly()
-    for (i, j), c in triangles.h_triangle_formula(m, n).terms():
-        rhs = rhs + c * (Q - 1) ** (d + i - j) * Q ** (d - i) * (1 - 2 * Q) ** j
-    return _verdict("char-from-h", (m, n), lhs, rhs)
+    ch = triangles.char_poly_formula(m, n)
+    return _substitution_verdict("char-from-h", m, n, ch, ONE, 1 - 2 * Q, Q)
 
 
 # -- verification suites ------------------------------------------------
@@ -191,28 +199,22 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
     """The composition identity on its stated ranges, plus the
     Vandermonde factor rewrite, the three-binomial sum, and the
     prefactor variant."""
-    verdicts = []
-    lhs = {}
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            for k in range(max_k + 1):
-                lhs[m, n, k] = inner_sum_lhs(m, n, k)
-                verdicts.append(
-                    _verdict(
-                        "composition-identity",
-                        (m, n, k),
-                        lhs[m, n, k],
-                        inner_sum_rhs(m, n, k),
-                    )
-                )
-    verdicts.append(
+    powers = _factor_powers(max_m, max_n, max_k, False)
+    full = _factor_powers(min(max_m, 5), min(max_n, 5), min(max_k, 3), True)
+    verdicts = [
+        _verdict(
+            "composition-identity", (m, n, k), powers[k].coefficient(m, n), inner_sum_rhs(m, n, k)
+        )
+        for m in range(max_m + 1)
+        for n in range(max_n + 1)
+        for k in range(max_k + 1)
+    ]
+    return verdicts + [
         _first_failure(
             "vandermonde-factor",
             (8, 8),
             ((f"at {(e, l)}", *vandermonde_step(e, l)) for e in range(9) for l in range(9)),
-        )
-    )
-    verdicts.append(
+        ),
         _first_failure(
             "three-binomial-sum",
             (max_m, max_n, max_k),
@@ -223,25 +225,22 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
                 for k in range(max_k + 1)
                 for l in range(m + 1)
             ),
-        )
-    )
-    verdicts.append(
+        ),
         _first_failure(
             "prefactor-identity",
             (5, 5, 3),
             (
                 (
                     f"at {(m, n, k)}",
-                    inner_sum_lhs_full_exponent(m, n, k),
-                    (T + 1) ** n * lhs[m, n, k],
+                    full[k].coefficient(m, n),
+                    (T + 1) ** n * powers[k].coefficient(m, n),
                 )
                 for m in range(min(max_m, 5) + 1)
                 for n in range(min(max_n, 5) + 1)
                 for k in range(min(max_k, 3) + 1)
             ),
-        )
-    )
-    return verdicts
+        ),
+    ]
 
 
 def run_relations_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND):

@@ -44,13 +44,12 @@ class Poset:
         self._down = down
         self.bottom = bottom
         self.top = top
-        self._index = {label: i for i, label in enumerate(self.labels)}
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
 
     def index_of(self, label):
-        return self._index[label]
+        return self.labels.index(label)
 
     def leq(self, a: int, b: int) -> bool:
         """True iff b is reachable from a along covers (or a == b)."""

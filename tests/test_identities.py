@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from shuflat import identities, triangles
 from shuflat.identities import (
     compositions,
@@ -59,15 +61,21 @@ def _literal_composition_pair_sum(m, n, k, factor):
 
 
 def test_composition_sums_match_literal_pair_sum():
-    for m in range(5):
-        for n in range(5):
-            for k in range(4):
-                literal = _literal_composition_pair_sum(m, n, k, identities._factor)
-                assert inner_sum_lhs(m, n, k) == literal, (m, n, k)
-                literal = _literal_composition_pair_sum(
-                    m, n, k, identities._factor_full_exponent
-                )
-                assert inner_sum_lhs_full_exponent(m, n, k) == literal, (m, n, k)
+    # every cell of one suite-sized table, for both factor variants, and
+    # the one-cell reads of the same table
+    for full, one_cell in ((False, inner_sum_lhs), (True, inner_sum_lhs_full_exponent)):
+        table = identities._factor_powers(4, 4, 3, full)
+        assert len(table) == 4
+
+        def factor(e, l):
+            return identities._factor(e, l, l if full else 0)
+
+        for m in range(5):
+            for n in range(5):
+                for k in range(4):
+                    literal = _literal_composition_pair_sum(m, n, k, factor)
+                    assert table[k].coefficient(m, n) == literal, (full, m, n, k)
+                    assert one_cell(m, n, k) == literal, (full, m, n, k)
 
 
 def test_vandermonde_step():
@@ -127,6 +135,28 @@ def test_relations_fail_on_a_wrong_h(monkeypatch):
     assert verdict.rhs - verdict.lhs == T * (Q - 1) ** 4 * (1 - T) ** 3 * Q
 
 
+def test_relations_take_the_exponents_a_power_takes(monkeypatch):
+    # at (1, 1), d = 2: a term of H needs i <= d and j <= d + i
+    original = triangles.h_triangle_formula
+
+    def add_to_h(extra):
+        monkeypatch.setattr(triangles, "h_triangle_formula", lambda m, n: original(m, n) + extra)
+
+    add_to_h(Q**2 * T**3)
+    verdict = verify_h_to_m(1, 1)
+    assert not verdict.passed
+    assert verdict.rhs - verdict.lhs == Q**4 * T**2 - Q**3 * T**2
+    verdict = verify_char_from_h(1, 1)
+    assert not verdict.passed
+    assert verdict.rhs - verdict.lhs == (Q - 1) * (1 - 2 * Q) ** 3
+    # i > d, j > d + i, and negative exponents would need a negative power
+    for extra in (Q**3, T**3, BivarPoly({(0, -1): 1}), BivarPoly({(-1, 0): 1})):
+        add_to_h(extra)
+        for verify in (verify_h_to_m, verify_char_from_h):
+            with pytest.raises(ValueError):
+                verify(1, 1)
+
+
 def test_verdict_json_shape():
     verdict = verify_h_to_m(1, 1)
     payload = verdict.to_json()
@@ -162,17 +192,24 @@ def test_methods_suite_small():
 
 
 def test_prefactor_identity_reports_first_failure(monkeypatch):
-    original = inner_sum_lhs_full_exponent
+    original = identities._factor_powers
+    expected = inner_sum_lhs_full_exponent(1, 0, 0) + 1
 
-    def faulty(m, n, k):
-        value = original(m, n, k)
-        return value + 1 if (m, n, k) in ((1, 0, 0), (3, 2, 1)) else value
+    def faulty(max_m, max_n, k, full_exponent):
+        # perturb cells (1, 0, 0) and (3, 2, 1) of the full-exponent table
+        powers = original(max_m, max_n, k, full_exponent)
+        if full_exponent:
+            for m, n, kk in ((1, 0, 0), (3, 2, 1)):
+                powers[kk].coeff[m][n] = powers[kk].coeff[m][n] + 1
+        return powers
 
-    monkeypatch.setattr(identities, "inner_sum_lhs_full_exponent", faulty)
-    verdict = next(v for v in run_identities_suite(3, 2, 1) if v.name == "prefactor-identity")
+    monkeypatch.setattr(identities, "_factor_powers", faulty)
+    verdicts = run_identities_suite(3, 2, 1)
+    verdict = next(v for v in verdicts if v.name == "prefactor-identity")
     assert not verdict.passed
     assert verdict.detail == "at (1, 0, 0)"
-    assert verdict.lhs == faulty(1, 0, 0)
+    assert verdict.lhs == expected
+    assert all(v.passed for v in verdicts if v.name == "composition-identity")
 
 
 def test_specializations_report_first_failure(monkeypatch):

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/trace_layers.py) re-binds named
 functions of shuflat; this checks that every name it needs still exists,
-that a traced run records the route, closed-form and Mobius spans, and
-that restore() puts the originals back."""
+that a traced run records the route, closed-form, Mobius and verify
+spans, and that restore() puts the originals back."""
 
 import os
 
@@ -25,6 +25,9 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # the closed-form routes carry the closed workload's layer metrics
         assert cli.run(["mtriangle", "2", "2", "--method", "formula"]) == 0
         assert cli.run(["chpoly", "2", "2", "--method", "formula"]) == 0
+        # the suite runners and the relation checks carry the verify spans
+        for suite in ("identities", "relations"):
+            assert cli.run(["verify", "--suite", suite, "--max-m", "1", "--max-n", "1"]) == 0
     finally:
         tracer.restore()
     capsys.readouterr()
@@ -34,5 +37,8 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         "poset.mobius_row",
         "triangles.mtriangle.formula",
         "triangles.chpoly.formula",
+        "identities.suite.identities",
+        "identities.suite.relations",
+        "identities.grid_eval",
     } <= recorded
     assert (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row) == originals
