@@ -65,7 +65,6 @@ def test_composition_sums_match_literal_pair_sum():
     # the one-cell reads of the same table
     for full, one_cell in ((False, inner_sum_lhs), (True, inner_sum_lhs_full_exponent)):
         table = identities._factor_powers(4, 4, 3, full)
-        assert len(table) == 4
 
         def factor(e, l):
             return identities._factor(e, l, l if full else 0)

@@ -74,12 +74,12 @@ def test_closed_forms_match_sympy():
 
 def test_relations_match_sympy_substitution():
     # the rational substitutions themselves, with no cleared denominator
+    sub_m = {q: t * (q - 1) / (1 - t), t: q / (q - 1)}
+    sub_ch = {q: (q - 1) / q, t: (1 - 2 * q) / (q - 1)}
     for m in range(4):
         for n in range(4):
             d = m + n
             h = to_sympy(h_triangle_formula(m, n))
-            sub_m = {q: t * (q - 1) / (1 - t), t: q / (q - 1)}
-            sub_ch = {q: (q - 1) / q, t: (1 - 2 * q) / (q - 1)}
             m_expr = sympy.cancel((1 - t) ** d * h.subs(sub_m, simultaneous=True))
             ch_expr = sympy.cancel(q**d * h.subs(sub_ch, simultaneous=True))
             assert same(m_triangle_formula(m, n), m_expr), (m, n)
