@@ -11,11 +11,14 @@ lower covers (total and of indel kind).
 Routes implemented:
 
 * brute force over the lattice: one Mobius row for ch, the summed
-  Mobius recursion over the order relation for M (see m_triangle_brute),
-  the bubble cover census for H;
+  Mobius recursion over the order relation for M (see m_triangle_brute;
+  it builds no Poset, only down-sets closed from the indel covers in
+  rank order, and checks the grading itself), the bubble cover census
+  for H;
 * the interval decomposition: M(q,t) = sum over words u of
   (qt)^rank(u) times the product of factor characteristic polynomials
-  in t given by the interval shape of u;
+  in t given by the interval shape of u, made once per class of words
+  with the same rank and the same multiset of shape pairs;
 * closed formulas: ch(q) = sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a),
   M(q,t) = sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a),
   H(q,t) = sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a);
@@ -38,8 +41,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .lattices import build_shuffle_lattice, degree_statistics
-from .poset import NoBottom, Poset, bucket_sum
+from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
+from .poset import NoBottom, NotGraded, Poset, bucket_sum
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, series_reciprocal
 from .words import enumerate_shuffle_words, interval_shape, rank
 
@@ -91,25 +94,43 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     over u <= w < v against q^rank(u) gives
     g(v) = q^rank(v) - sum of g(w) over w < v.  The elements are taken in
     rank order, and for each q-degree the values g(w) done so far sit in
-    value buckets, so the sum costs one popcount per bucket.  Only the
-    order relation is read: no interval factorization.
+    value buckets, so the sum costs one popcount per bucket.
+
+    No Poset is built: the covers are the indels, and each down-set is
+    the union of the down-sets pushed up by v's lower covers, complete
+    when v's turn comes.  Only the order relation is read, not the
+    interval factorization.  The rank order is trusted only as far as it
+    is checked: every cover must raise the rank by one and every element
+    without lower covers must have rank 0, else NotGraded.
     """
-    p = build_shuffle_lattice(m, n, size_cap)
-    down = p._down
-    ranks = p.ranks
+    words = enumerate_shuffle_words(m, n, size_cap)
+    words.sort(key=lambda w: rank(w, m))
+    ranks = [rank(w, m) for w in words]
+    index = {w: i for i, w in enumerate(words)}
+    # below[v]: union of the down-sets of the lower covers of v seen so far
+    below = [0] * len(words)
     # buckets[d]: {c: bitset of the w done so far with [q^d] g(w) = c}
     buckets = [{} for _ in range(m + n + 1)]
     terms = {}
-    for v in sorted(range(p.n), key=ranks.__getitem__):
+    for v, w in enumerate(words):
         r = ranks[v]
+        if r and not below[v]:
+            raise NotGraded(f"element {v} has no lower cover but rank {r}")
         bit = 1 << v
+        down = below[v] | bit
+        below[v] = 0  # only two rank levels of down-sets are held at once
         for d in range(r):
-            total = bucket_sum(buckets[d], down[v])
+            total = bucket_sum(buckets[d], down)
             if total:
                 buckets[d][-total] = buckets[d].get(-total, 0) | bit
                 terms[(d, r)] = terms.get((d, r), 0) - total
         buckets[r][1] = buckets[r].get(1, 0) | bit
         terms[(r, r)] = terms.get((r, r), 0) + 1
+        for upper in indel_successors(w, m, n):
+            u = index[upper]
+            if ranks[u] != r + 1:
+                raise NotGraded(f"cover ({v},{u}) spans ranks {r}..{ranks[u]}")
+            below[u] |= down
     return BivarPoly(terms)
 
 
@@ -118,24 +139,24 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
     Each word u contributes (qt)^rank(u) times the product, over its
     interval shape, of factor characteristic polynomials evaluated in t.
+    That term depends only on the rank of u and on the multiset of its
+    (x_block, y_gap) pairs, so the words are counted per such class and
+    each class's product is made once.
     """
-    qt = Q * T
-    factor_cache = {}
-
-    def factor(e, l):
-        poly = factor_cache.get((e, l))
-        if poly is None:
-            poly = char_poly_formula(e, l).swap_vars()
-            factor_cache[(e, l)] = poly
-        return poly
-
-    acc = BivarPoly()
+    classes = {}
     for u in enumerate_shuffle_words(m, n, size_cap):
         shape = interval_shape(u, m, n)
-        term = qt ** rank(u, m)
-        for e, l in zip(shape.x_blocks, shape.y_gaps):
-            term = term * factor(e, l)
-        acc = acc + term
+        key = (rank(u, m), tuple(sorted(zip(shape.x_blocks, shape.y_gaps))))
+        classes[key] = classes.get(key, 0) + 1
+    shapes = {pair for _, pairs in classes for pair in pairs}
+    factors = {pair: char_poly_formula(*pair).swap_vars() for pair in shapes}
+    qt = Q * T
+    acc = BivarPoly()
+    for (r, pairs), count in classes.items():
+        term = qt**r
+        for pair in pairs:
+            term = term * factors[pair]
+        acc = acc + count * term
     return acc
 
 

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/trace_layers.py) re-binds named
 functions of shuflat; this checks that every name it needs still exists,
-that a traced run records the route, closed-form, Mobius and verify
-spans, and that restore() puts the originals back."""
+that a traced run records the route, word, closed-form, Mobius and
+verify spans, and that restore() puts the originals back."""
 
 import os
 
@@ -22,6 +22,8 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # brute M sums the recursion over the order relation; the one
         # Mobius row is read by brute ch
         assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
+        # the interval route enumerates the words itself
+        assert cli.run(["mtriangle", "2", "2", "--method", "interval"]) == 0
         # the closed-form routes carry the closed workload's layer metrics
         assert cli.run(["mtriangle", "2", "2", "--method", "formula"]) == 0
         assert cli.run(["chpoly", "2", "2", "--method", "formula"]) == 0
@@ -34,6 +36,8 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
     recorded = {name for _, name in tracer.spans}
     assert {
         "triangles.mtriangle.brute",
+        "triangles.mtriangle.interval",
+        "words.enumerate",
         "poset.mobius_row",
         "triangles.mtriangle.formula",
         "triangles.chpoly.formula",

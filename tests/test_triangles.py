@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
+from shuflat import cli, lattices, poset, triangles
 from shuflat.lattices import build_shuffle_lattice
 from shuflat.polyalg import ONE, Q, T, BivarPoly
-from shuflat.poset import NoBottom, build_poset
+from shuflat.poset import NoBottom, NotGraded, build_poset
 from shuflat.triangles import (
     CROSS_TERM_Q_MINUS_1,
     CROSS_TERM_Q_PLUS_1,
@@ -22,7 +23,15 @@ from shuflat.triangles import (
     m_triangle_interval,
     rank_generating_poly,
 )
-from shuflat.words import SizeLimitExceeded, shuffle_word_count
+from shuflat.words import (
+    SizeLimitExceeded,
+    bottom_word,
+    enumerate_shuffle_words,
+    interval_shape,
+    rank,
+    shuffle_word_count,
+    top_word,
+)
 
 CORE = Q * T - T + 1  # qt - t + 1
 M11 = BivarPoly({(2, 2): 1, (1, 2): -3, (0, 2): 2, (1, 1): 3, (0, 1): -3, (0, 0): 1})
@@ -116,6 +125,53 @@ def test_m_triangle_brute_matches_per_source_rows():
             assert m_triangle_brute(m, n) == m_triangle_per_source(m, n), (m, n)
 
 
+def jump_from_bottom(monkeypatch):
+    """Add one cover from the bottom straight to the top, which spans
+    m + n ranks, to the indel covers that brute M reads."""
+    original = triangles.indel_successors
+
+    def successors(u, m, n):
+        out = original(u, m, n)
+        if u == bottom_word(m):
+            out.append(top_word(n))
+        return out
+
+    monkeypatch.setattr(triangles, "indel_successors", successors)
+
+
+def test_m_triangle_brute_checks_the_grading(monkeypatch):
+    jump_from_bottom(monkeypatch)
+    with pytest.raises(NotGraded, match="spans ranks 0..4"):
+        m_triangle_brute(2, 2)
+
+
+def test_m_triangle_brute_grading_fault_exits_4(monkeypatch, capsys):
+    jump_from_bottom(monkeypatch)
+    code = cli.run(["mtriangle", "2", "2", "--method", "brute"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: NotGraded(") and err.count("\n") == 1
+
+
+def test_m_triangle_brute_checks_rank_zero_at_the_bottom(monkeypatch):
+    # a rank shifted by one still raises every cover by one; only the
+    # element without lower covers shows it
+    monkeypatch.setattr(triangles, "rank", lambda word, m: rank(word, m) + 1)
+    with pytest.raises(NotGraded, match="no lower cover but rank 1"):
+        m_triangle_brute(1, 1)
+
+
+def test_m_triangle_brute_builds_no_poset(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute M built a Poset")
+
+    for module in (triangles, lattices):
+        monkeypatch.setattr(module, "build_shuffle_lattice", refuse)
+    for module in (lattices, poset):
+        monkeypatch.setattr(module, "build_poset", refuse)
+    assert m_triangle_brute(3, 3) == m_triangle_formula(3, 3)
+
+
 def test_m_triangle_brute_above_default_cap():
     for m, n in ((5, 4), (4, 5)):
         assert m_triangle_brute(m, n, size_cap=10**4) == m_triangle_formula(m, n)
@@ -128,6 +184,36 @@ def test_m_triangle_formula_examples():
     for m, n in ((2, 2), (3, 1), (2, 4)):
         assert m_triangle_formula(m, n).subs_t(1) == Q ** (m + n)
         assert m_triangle_formula(m, n).subs_q(1) == ONE
+
+
+def m_triangle_interval_per_word(m, n):
+    """The interval route summed word by word: each word u adds
+    (qt)^rank(u) times the product of the factors of its shape."""
+    qt = Q * T
+    factor_cache = {}
+
+    def factor(e, l):
+        poly = factor_cache.get((e, l))
+        if poly is None:
+            poly = char_poly_formula(e, l).swap_vars()
+            factor_cache[(e, l)] = poly
+        return poly
+
+    acc = BivarPoly()
+    for u in enumerate_shuffle_words(m, n):
+        shape = interval_shape(u, m, n)
+        term = qt ** rank(u, m)
+        for e, l in zip(shape.x_blocks, shape.y_gaps):
+            term = term * factor(e, l)
+        acc = acc + term
+    return acc
+
+
+def test_m_triangle_interval_matches_per_word_sum():
+    for m in range(6):
+        for n in range(6):
+            grouped = m_triangle_interval(m, n, size_cap=10**6)
+            assert grouped == m_triangle_interval_per_word(m, n), (m, n)
 
 
 def test_m_triangle_interval_matches_brute():
