@@ -3,9 +3,9 @@
 # substitution relations between the triangles.
 
 from fractions import Fraction
+from math import comb
 
 from shuflat.identities import (
-    compositions,
     inner_sum_lhs,
     inner_sum_rhs,
     r_sum_sides,
@@ -16,8 +16,8 @@ from shuflat.identities import (
 from shuflat.triangles import h_triangle_formula, m_triangle_formula
 
 # Weak compositions are the summation index of the identity's hard side.
-print("weak compositions of 4 into 3 parts:", len(compositions(4, 3)))
-print("first few:", compositions(4, 3)[:4])
+# By stars and bars there are C(total + parts - 1, parts - 1) of them.
+print("weak compositions of 4 into 3 parts: comb(4 + 2, 2) =", comb(4 + 2, 2))
 
 # The identity: a sum over pairs of compositions of products of small
 # binomial factors collapses to a single closed form.  The sum is the

@@ -27,12 +27,9 @@ from .polyalg import (
 from .poset import (
     CycleDetected,
     NoBottom,
-    NotComparable,
     NotGraded,
     Poset,
     build_poset,
-    check_order_isomorphism,
-    direct_product,
 )
 from .triangles import (
     BRUTE_SIZE_CAP,
@@ -49,7 +46,6 @@ from .triangles import (
 )
 from .identities import (
     IdentityVerdict,
-    compositions,
     inner_sum_lhs,
     inner_sum_rhs,
     r_sum_sides,

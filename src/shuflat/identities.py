@@ -37,20 +37,6 @@ FORMULA_BOUND = 6
 BRUTE_BOUND = 4
 
 
-def compositions(total, parts):
-    """All weak compositions of ``total`` into ``parts`` parts, in
-    reverse-lexicographic order (first part descending)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _factor(eta_i, lambda_i, extra):
     # sum_a C(lambda_i, a) C(eta_i, a) t^a (t+1)^(eta_i + extra - a); the

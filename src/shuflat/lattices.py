@@ -28,8 +28,6 @@ from .words import (
     DEFAULT_SIZE_CAP,
     Letter,
     enumerate_shuffle_words,
-    interval_shape,
-    x_letters,
 )
 
 KIND_INDEL = "indel"
@@ -52,14 +50,14 @@ class DegreeTriple(NamedTuple):
 
 def indel_successors(u, m, n):
     """All words one indel above u: delete any x-letter, or insert an
-    absent y-letter at any position that keeps the word valid."""
+    absent y-letter at any position that keeps the word valid.  The
+    order of the list is unspecified."""
     out = []
     for pos, letter in enumerate(u):
         if letter.family == FAMILY_X:
             out.append(u[:pos] + u[pos + 1 :])
     for pos, letter in _y_insertions(u, n):
         out.append(u[:pos] + (letter,) + u[pos:])
-    out.sort(key=lambda w: (len(w), w))
     return out
 
 
@@ -136,42 +134,3 @@ def degree_statistics(m, n, size_cap=DEFAULT_SIZE_CAP):
         w: DegreeTriple(indel + transpose, indel, transpose)
         for w, (indel, transpose) in counts.items()
     }
-
-
-def interval_decomposition_map(u, m, n):
-    """The block-splitting bijection behind the interval factorization.
-
-    Returns (factors, split) where ``factors`` are the (x_block, y_gap)
-    parameter pairs and ``split(w)`` maps a word in [u, top] to the
-    tuple of factor words: the y-letters of u act as separators, each
-    surviving x-letter is renumbered by its position among u's
-    x-letters minus the block offset, and each inserted y-letter is
-    shifted down by the separator index on its left.
-    """
-    shape = interval_shape(u, m, n)
-    factors = list(zip(shape.x_blocks, shape.y_gaps))
-    chosen = [letter.index for letter in u if letter.family == FAMILY_Y]
-    chosen_set = set(chosen)
-    x_position = {letter.index: s for s, letter in enumerate(x_letters(u), start=1)}
-    x_offsets = [0]
-    for size, _ in factors[:-1]:
-        x_offsets.append(x_offsets[-1] + size)
-    y_offsets = [0] + chosen
-
-    def split(w):
-        blocks = [[] for _ in range(len(factors))]
-        block = 0
-        for letter in w:
-            if letter.family == FAMILY_Y and letter.index in chosen_set:
-                block += 1
-            elif letter.family == FAMILY_X:
-                blocks[block].append(
-                    Letter(FAMILY_X, x_position[letter.index] - x_offsets[block])
-                )
-            else:
-                blocks[block].append(
-                    Letter(FAMILY_Y, letter.index - y_offsets[block])
-                )
-        return tuple(tuple(b) for b in blocks)
-
-    return factors, split

@@ -24,10 +24,6 @@ class NotGraded(ValueError):
     """Some cover jumps more than one rank level."""
 
 
-class NotComparable(ValueError):
-    """interval(a, b) requires a <= b."""
-
-
 class NoBottom(ValueError):
     """The poset has no unique minimum element."""
 
@@ -48,24 +44,11 @@ class Poset:
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
 
-    def index_of(self, label):
-        return self.labels.index(label)
-
-    def leq(self, a: int, b: int) -> bool:
-        """True iff b is reachable from a along covers (or a == b)."""
-        return bool(self._up[a] >> b & 1)
-
     def up_set(self, a: int):
         """Indices of elements >= a, in rank order."""
         members = _bits(self._up[a])
         members.sort(key=self.ranks.__getitem__)
         return members
-
-    def mobius(self, a: int) -> dict:
-        """{v: mu(a, v)} over the up-set of a, zero entries included."""
-        values = dict.fromkeys(_bits(self._up[a]), 0)
-        values.update(self._mobius_row(a))
-        return values
 
     def _mobius_row(self, a: int):
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order."""
@@ -80,25 +63,6 @@ class Poset:
                 buckets[-total] = buckets.get(-total, 0) | 1 << v
                 out.append((v, -total))
         return out
-
-    def interval(self, a: int, b: int) -> "Poset":
-        """The induced sub-poset on {r : a <= r <= b}, ranks re-based at a.
-
-        Materialized as an independent Poset; raises NotComparable when
-        a is not below b.
-        """
-        if not self.leq(a, b):
-            raise NotComparable(f"elements {a} and {b} are not comparable")
-        mask = self._up[a] & self._down[b]
-        members = _bits(mask)
-        position = {v: i for i, v in enumerate(members)}
-        labels = [self.labels[v] for v in members]
-        covers = [
-            (position[lo], position[hi])
-            for lo, hi in self.covers
-            if mask >> lo & 1 and mask >> hi & 1
-        ]
-        return build_poset(labels, covers)
 
 
 def bucket_sum(buckets, mask: int) -> int:
@@ -186,48 +150,3 @@ def build_poset(labels, covers) -> Poset:
     bottom = minimal[0] if len(minimal) == 1 else None
     top = maximal[0] if len(maximal) == 1 else None
     return Poset(labels, tuple(covers), tuple(ranks), up, down, bottom, top)
-
-
-def direct_product(p: Poset, q: Poset) -> Poset:
-    """Direct product: pairs ordered componentwise, ranks add.
-
-    Labels are (label_p, label_q) pairs; covers change one coordinate
-    by a cover and fix the other.
-    """
-    labels = [(lp, lq) for lp in p.labels for lq in q.labels]
-
-    def idx(i, j):
-        return i * q.n + j
-
-    covers = []
-    for a, b in p.covers:
-        for j in range(q.n):
-            covers.append((idx(a, j), idx(b, j)))
-    for i in range(p.n):
-        for a, b in q.covers:
-            covers.append((idx(i, a), idx(i, b)))
-    return build_poset(labels, covers)
-
-
-def check_order_isomorphism(p: Poset, q: Poset, mapping) -> bool:
-    """True iff mapping is a bijection with a <= b exactly when f(a) <= f(b).
-
-    ``mapping`` maps p-indices to q-indices (list or dict, total on p).
-    """
-    if p.n != q.n:
-        return False
-    image = [None] * p.n
-    seen = set()
-    for a in range(p.n):
-        fa = mapping[a]
-        if fa is None or not 0 <= fa < q.n or fa in seen:
-            return False
-        seen.add(fa)
-        image[a] = fa
-    for a in range(p.n):
-        mapped = 0
-        for b in _bits(p._up[a]):
-            mapped |= 1 << image[b]
-        if mapped != q._up[image[a]]:
-            return False
-    return True

@@ -1,0 +1,174 @@
+"""Order-theoretic checks that only the tests need.
+
+They check Greene's factorization of an upper interval of the shuffle
+lattice, [u, top] ~= prod Shuf(x_block, y_gap), structurally: the
+interval and the direct product are built as posets, and the
+block-splitting map between them is checked to be an order isomorphism.
+Each function takes the Poset it reads as its first argument.
+"""
+
+from functools import lru_cache
+
+from shuflat.lattices import build_shuffle_lattice
+from shuflat.poset import Poset, _bits, build_poset
+from shuflat.words import FAMILY_X, FAMILY_Y, Letter, interval_shape, x_letters
+
+
+class NotComparable(ValueError):
+    """interval(p, a, b) requires a <= b."""
+
+
+def leq(p: Poset, a: int, b: int) -> bool:
+    """True iff b is reachable from a along covers (or a == b)."""
+    return bool(p._up[a] >> b & 1)
+
+
+def mobius(p: Poset, a: int) -> dict:
+    """{v: mu(a, v)} over the up-set of a, zero entries included."""
+    values = dict.fromkeys(_bits(p._up[a]), 0)
+    values.update(p._mobius_row(a))
+    return values
+
+
+def interval(p: Poset, a: int, b: int) -> Poset:
+    """The induced sub-poset on {r : a <= r <= b}, ranks re-based at a.
+
+    Materialized as an independent Poset; raises NotComparable when
+    a is not below b.
+    """
+    if not leq(p, a, b):
+        raise NotComparable(f"elements {a} and {b} are not comparable")
+    mask = p._up[a] & p._down[b]
+    members = _bits(mask)
+    position = {v: i for i, v in enumerate(members)}
+    labels = [p.labels[v] for v in members]
+    covers = [
+        (position[lo], position[hi])
+        for lo, hi in p.covers
+        if mask >> lo & 1 and mask >> hi & 1
+    ]
+    return build_poset(labels, covers)
+
+
+def direct_product(p: Poset, q: Poset) -> Poset:
+    """Direct product: pairs ordered componentwise, ranks add.
+
+    Labels are (label_p, label_q) pairs; covers change one coordinate
+    by a cover and fix the other.
+    """
+    labels = [(lp, lq) for lp in p.labels for lq in q.labels]
+
+    def idx(i, j):
+        return i * q.n + j
+
+    covers = []
+    for a, b in p.covers:
+        for j in range(q.n):
+            covers.append((idx(a, j), idx(b, j)))
+    for i in range(p.n):
+        for a, b in q.covers:
+            covers.append((idx(i, a), idx(i, b)))
+    return build_poset(labels, covers)
+
+
+def check_order_isomorphism(p: Poset, q: Poset, mapping) -> bool:
+    """True iff mapping is a bijection with a <= b exactly when f(a) <= f(b).
+
+    ``mapping`` maps p-indices to q-indices (list or dict, total on p).
+    """
+    if p.n != q.n:
+        return False
+    image = [None] * p.n
+    seen = set()
+    for a in range(p.n):
+        fa = mapping[a]
+        if fa is None or not 0 <= fa < q.n or fa in seen:
+            return False
+        seen.add(fa)
+        image[a] = fa
+    for a in range(p.n):
+        mapped = 0
+        for b in _bits(p._up[a]):
+            mapped |= 1 << image[b]
+        if mapped != q._up[image[a]]:
+            return False
+    return True
+
+
+def interval_decomposition_map(u, m, n):
+    """The block-splitting bijection behind the interval factorization.
+
+    Returns (factors, split) where ``factors`` are the (x_block, y_gap)
+    parameter pairs and ``split(w)`` maps a word in [u, top] to the
+    tuple of factor words: the y-letters of u act as separators, each
+    surviving x-letter is renumbered by its position among u's
+    x-letters minus the block offset, and each inserted y-letter is
+    shifted down by the separator index on its left.
+    """
+    shape = interval_shape(u, m, n)
+    factors = list(zip(shape.x_blocks, shape.y_gaps))
+    chosen = [letter.index for letter in u if letter.family == FAMILY_Y]
+    chosen_set = set(chosen)
+    x_position = {letter.index: s for s, letter in enumerate(x_letters(u), start=1)}
+    x_offsets = [0]
+    for size, _ in factors[:-1]:
+        x_offsets.append(x_offsets[-1] + size)
+    y_offsets = [0] + chosen
+
+    def split(w):
+        blocks = [[] for _ in range(len(factors))]
+        block = 0
+        for letter in w:
+            if letter.family == FAMILY_Y and letter.index in chosen_set:
+                block += 1
+            elif letter.family == FAMILY_X:
+                blocks[block].append(
+                    Letter(FAMILY_X, x_position[letter.index] - x_offsets[block])
+                )
+            else:
+                blocks[block].append(
+                    Letter(FAMILY_Y, letter.index - y_offsets[block])
+                )
+        return tuple(tuple(b) for b in blocks)
+
+    return factors, split
+
+
+@lru_cache(maxsize=None)
+def _lattice(m, n):
+    return build_shuffle_lattice(m, n)
+
+
+def interval_is_product(m, n, u) -> bool:
+    """True iff the block-splitting map is an order isomorphism from
+    [u, top] in Shuf(m, n) onto the direct product of the factor
+    lattices Shuf(x_block, y_gap), taken left to right."""
+    lat = _lattice(m, n)
+    sub = interval(lat, lat.labels.index(u), lat.top)
+    factors, split = interval_decomposition_map(u, m, n)
+    product = _lattice(*factors[0])
+    for e, l in factors[1:]:
+        product = direct_product(product, _lattice(e, l))
+
+    def nested(blocks):
+        label = blocks[0]
+        for block in blocks[1:]:
+            label = (label, block)
+        return label
+
+    mapping = [product.labels.index(nested(split(label))) for label in sub.labels]
+    return check_order_isomorphism(sub, product, mapping)
+
+
+def compositions(total, parts):
+    """All weak compositions of ``total`` into ``parts`` parts, in
+    reverse-lexicographic order (first part descending)."""
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out

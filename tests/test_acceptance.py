@@ -7,10 +7,18 @@ import time
 from functools import lru_cache
 from itertools import combinations
 
+from order_helpers import (
+    check_order_isomorphism,
+    interval,
+    interval_decomposition_map,
+    interval_is_product,
+    leq,
+    mobius,
+)
 from shuflat import identities, triangles
-from shuflat.lattices import build_shuffle_lattice, interval_decomposition_map
+from shuflat.lattices import build_shuffle_lattice
 from shuflat.polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2
-from shuflat.poset import build_poset, check_order_isomorphism, direct_product
+from shuflat.poset import build_poset
 from shuflat.triangles import (
     CROSS_TERM_Q_MINUS_1,
     CROSS_TERM_Q_PLUS_1,
@@ -28,7 +36,6 @@ from shuflat.words import (
     parse_word,
     rank,
     shuffle_word_count,
-    top_word,
     x_letters,
 )
 
@@ -109,7 +116,7 @@ def test_criterion_4_characteristic_polynomials():
         for n in range(5):
             lat = lattice(m, n)
             for u in lat.labels:
-                sub = lat.interval(lat.index_of(u), lat.top)
+                sub = interval(lat, lat.labels.index(u), lat.top)
                 factors, _ = interval_decomposition_map(u, m, n)
                 product = ONE
                 for e, l in factors:
@@ -199,29 +206,6 @@ def boolean_lattice(m):
     return build_poset(subsets, covers)
 
 
-def product_of(factors):
-    product = factors[0]
-    for factor in factors[1:]:
-        product = direct_product(product, factor)
-    return product
-
-
-def nested_label(blocks):
-    label = blocks[0]
-    for block in blocks[1:]:
-        label = (label, block)
-    return label
-
-
-def check_interval_bijection(m, n, u):
-    lat = lattice(m, n)
-    sub = lat.interval(lat.index_of(u), lat.top)
-    factors, split = interval_decomposition_map(u, m, n)
-    product = product_of([build_shuffle_lattice(e, l) for e, l in factors])
-    mapping = [product.index_of(nested_label(split(sub.labels[i]))) for i in range(sub.n)]
-    return check_order_isomorphism(sub, product, mapping)
-
-
 def test_criterion_9_structural_suite():
     started = time.perf_counter()
     ok = True
@@ -231,19 +215,19 @@ def test_criterion_9_structural_suite():
         for n in range(4):
             lat = lattice(m, n)
             for a in range(lat.n):
-                row = lat.mobius(a)
+                row = mobius(lat, a)
                 members = lat.up_set(a)
                 for b in members:
-                    total = sum(row[r] for r in members if lat.leq(r, b))
+                    total = sum(row[r] for r in members if leq(lat, r, b))
                     ok = ok and total == (1 if b == a else 0)
     # and on sampled sources of the largest one
     rng = random.Random(424242)
     big = lattice(4, 4)
     for a in rng.sample(range(big.n), 25):
-        row = big.mobius(a)
+        row = mobius(big, a)
         members = big.up_set(a)
         for b in rng.sample(members, min(40, len(members))):
-            total = sum(row[r] for r in members if big.leq(r, b))
+            total = sum(row[r] for r in members if leq(big, r, b))
             ok = ok and total == (1 if b == a else 0)
 
     # every cover raises rank by exactly one
@@ -260,7 +244,7 @@ def test_criterion_9_structural_suite():
         cube = boolean_lattice(m)
         full = frozenset(range(1, m + 1))
         mapping = [
-            cube.index_of(full - {letter.index for letter in x_letters(u)})
+            cube.labels.index(full - {letter.index for letter in x_letters(u)})
             for u in lat.labels
         ]
         ok = ok and check_order_isomorphism(lat, cube, mapping)
@@ -270,21 +254,10 @@ def test_criterion_9_structural_suite():
     for _ in range(50):
         m, n = rng.choice(pairs)
         u = rng.choice(lattice(m, n).labels)
-        ok = ok and check_interval_bijection(m, n, u)
+        ok = ok and interval_is_product(m, n, u)
     # and on the documented larger example
-    ok = ok and check_interval_bijection_large()
+    u = parse_word("x7y2")
+    ok = ok and interval_decomposition_map(u, 7, 3)[0] == [(1, 1), (0, 1)]
+    ok = ok and interval_is_product(7, 3, u)
 
     report(9, "structural properties: Mobius sums, gradedness, Boolean case, bijections", ok, started)
-
-
-def check_interval_bijection_large():
-    m, n = 7, 3
-    lat = build_shuffle_lattice(m, n)
-    u = parse_word("x7y2")
-    sub = lat.interval(lat.index_of(u), lat.index_of(top_word(n)))
-    factors, split = interval_decomposition_map(u, m, n)
-    if factors != [(1, 1), (0, 1)]:
-        return False
-    product = product_of([build_shuffle_lattice(e, l) for e, l in factors])
-    mapping = [product.index_of(nested_label(split(sub.labels[i]))) for i in range(sub.n)]
-    return check_order_isomorphism(sub, product, mapping)

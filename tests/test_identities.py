@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
+from order_helpers import compositions
 from shuflat import identities, triangles
 from shuflat.identities import (
-    compositions,
     inner_sum_lhs,
     inner_sum_lhs_full_exponent,
     inner_sum_rhs,

@@ -1,3 +1,4 @@
+import os
 from math import comb
 
 import pytest
@@ -113,7 +114,7 @@ def m_triangle_per_source(m, n):
     p = build_shuffle_lattice(m, n)
     terms = {}
     for a in range(p.n):
-        for v, mu in p.mobius(a).items():
+        for v, mu in p._mobius_row(a):
             key = (p.ranks[a], p.ranks[v])
             terms[key] = terms.get(key, 0) + mu
     return BivarPoly(terms)
@@ -170,6 +171,26 @@ def test_m_triangle_brute_builds_no_poset(monkeypatch):
     for module in (lattices, poset):
         monkeypatch.setattr(module, "build_poset", refuse)
     assert m_triangle_brute(3, 3) == m_triangle_formula(3, 3)
+
+
+def test_brute_m_ignores_the_successor_order(monkeypatch, capsys):
+    # nothing reads the order of the indel successors: reversed lists
+    # give the same M, the same covers and the same Hasse diagram
+    covers = build_shuffle_lattice(2, 2).covers
+    original = lattices.indel_successors
+
+    def reversed_successors(u, m, n):
+        return original(u, m, n)[::-1]
+
+    for module in (lattices, triangles):
+        monkeypatch.setattr(module, "indel_successors", reversed_successors)
+    assert m_triangle_brute(3, 3) == m_triangle_formula(3, 3)
+    assert build_shuffle_lattice(2, 2).covers == covers
+    golden = os.path.join(os.path.dirname(__file__), "golden", "hasse_1_2_shuf")
+    for fmt in ("dot", "text", "json"):
+        assert cli.run(["hasse", "1", "2", "--order", "shuf", "--format", fmt]) == 0
+        with open(f"{golden}.{fmt}") as fh:
+            assert capsys.readouterr().out == fh.read(), fmt
 
 
 def test_m_triangle_brute_above_default_cap():
