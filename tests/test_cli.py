@@ -77,6 +77,54 @@ def test_hasse_golden(capsys, order, fmt):
         assert out == fh.read()
 
 
+def _golden(name):
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        return fh.read()
+
+
+JSON_GOLDEN = [
+    (("enumerate", "1", "1", "--json"), "enumerate_1_1.json"),
+    (("mtriangle", "1", "1", "--method", "formula", "--json"), "mtriangle_1_1_formula.json"),
+    (("series", "1", "1", "--json"), "series_1_1.json"),
+]
+
+
+@pytest.mark.parametrize("argv, name", JSON_GOLDEN, ids=[name for _, name in JSON_GOLDEN])
+def test_json_golden(capsys, tmp_path, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, _golden(name))
+    # -o writes the same bytes and leaves stdout empty
+    target = tmp_path / name
+    code, out, _ = run_cli(capsys, *argv, "-o", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_text() == _golden(name)
+
+
+def test_verify_report_golden(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1",
+        "--json", str(report),
+    )
+    assert (code, out) == (0, _golden("verify_relations_1_1.out"))
+    assert report.read_text() == _golden("verify_relations_1_1.report.json")
+
+
+def test_only_the_written_form_is_rendered(capsys, monkeypatch):
+    from shuflat.polyalg import BivarPoly
+
+    def refuse(self):
+        raise RuntimeError("rendered a form that is not written")
+
+    monkeypatch.setattr(BivarPoly, "__str__", refuse)
+    code, out, _ = run_cli(capsys, "mtriangle", "1", "1", "--json")
+    assert (code, out) == (0, _golden("mtriangle_1_1_formula.json"))
+    monkeypatch.undo()
+    monkeypatch.setattr(BivarPoly, "to_json_terms", refuse)
+    code, out, _ = run_cli(capsys, "mtriangle", "1", "1")
+    assert (code, out) == (0, GOLDEN_M11 + "\n")
+
+
 def test_htriangle_and_chpoly(capsys):
     code, out, _ = run_cli(capsys, "htriangle", "1", "1", "--method", "brute")
     assert code == 0

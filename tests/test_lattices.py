@@ -133,5 +133,7 @@ def test_interval_factors_examples():
 
 
 def test_interval_decomposition_is_isomorphism():
-    for text in ("x2y1", "x1x3", "y1y2", "e", "x1x2x3"):
+    # the last two leave x-letters in two blocks, so the map must shift
+    # each block's letters by that block's x-offset
+    for text in ("x2y1", "x1x3", "y1y2", "e", "x1x2x3", "x1y1x2", "x2y1x3y2"):
         assert interval_is_product(3, 2, w(text)), text
