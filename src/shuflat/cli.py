@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (also a
 negative bound or cap, and an output file that cannot be written, in
 which case stdout stays empty), 3 size-cap refusal, 4 internal error
 (any other exception: one ``internal error:`` line, no traceback).  The
-environment variable SHUF_SIZE_CAP overrides the default size cap of the
-invoked command; an explicit --size-cap wins over both, and --force wins
-over all three.  The triangle commands resolve the cap only for the routes
-that read one (triangles.SIZED_ROUTES).
+environment variable SHUF_SIZE_CAP overrides the default size cap of
+enumerate, hasse and the triangle routes that read a cap (those whose
+triangles.ROUTES entry carries one); an explicit --size-cap wins over
+both, and --force wins over all three.  verify and series read neither.
 All output is deterministic: repeated runs are byte-identical.
 """
 
@@ -126,21 +126,27 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _envelope(payload):
+    """The JSON text of a payload: every JSON output carries the schema."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
+
+
+def _write(args, as_json, text, payload):
+    """Write a command's output to -o or stdout.  ``text`` and ``payload``
+    are callables, so only the form that is written is rendered."""
+    _emit(_envelope(payload()) if as_json else text(), args.output)
+
+
 def _cmd_enumerate(args):
     cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
     listing = words.enumerate_shuffle_words(args.m, args.n, cap)
     rendered = [words.format_word(w) for w in listing]
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "m": args.m,
-            "n": args.n,
-            "count": len(rendered),
-            "words": rendered,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit("\n".join(rendered), args.output)
+    _write(
+        args,
+        args.json,
+        lambda: "\n".join(rendered),
+        lambda: {"m": args.m, "n": args.n, "count": len(rendered), "words": rendered},
+    )
     return 0
 
 
@@ -166,7 +172,12 @@ def _cmd_hasse(args):
             for upper, kind in lattices._bubble_upper_covers(u, args.m, args.n)
         ]
 
-    if args.format == "dot":
+    def text():
+        if args.format == "text":
+            return "\n".join(
+                f"{lo} -> {hi}" + (f" [{kind}]" if kind else "")
+                for lo, hi, kind in edges
+            )
         lines = ["digraph hasse {"]
         lines += [f'  "{w}" [rank={r}];' for w, r in nodes]
         lines += [
@@ -174,16 +185,10 @@ def _cmd_hasse(args):
             for lo, hi, kind in edges
         ]
         lines.append("}")
-        _emit("\n".join(lines), args.output)
-    elif args.format == "text":
-        lines = [
-            f"{lo} -> {hi}" + (f" [{kind}]" if kind else "")
-            for lo, hi, kind in edges
-        ]
-        _emit("\n".join(lines), args.output)
-    else:
-        payload = {
-            "schema": SCHEMA_VERSION,
+        return "\n".join(lines)
+
+    def payload():
+        return {
             "m": args.m,
             "n": args.n,
             "order": args.order,
@@ -193,56 +198,48 @@ def _cmd_hasse(args):
                 for lo, hi, kind in edges
             ],
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+
+    _write(args, args.format == "json", text, payload)
     return 0
 
 
 def _cmd_triangle(args):
+    cap, _ = triangles.ROUTES[(args.command, args.method)]
     # a route that reads no cap leaves --size-cap and SHUF_SIZE_CAP unread
-    cap = None
-    if (args.command, args.method) in triangles.SIZED_ROUTES:
-        cap = _size_cap(args, triangles.BRUTE_SIZE_CAP)
+    if cap is not None:
+        cap = _size_cap(args, cap)
     value = triangles.compute(args.command, args.m, args.n, args.method, cap)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
+    _write(
+        args,
+        args.json,
+        lambda: str(value),
+        lambda: {
             "kind": args.command,
             "m": args.m,
             "n": args.n,
             "method": args.method,
             "terms": value.to_json_terms(),
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit(str(value), args.output)
+        },
+    )
     return 0
 
 
 def _cmd_series(args):
     series = triangles.m_series(args.max_m, args.max_n)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
+    cells = [(i, j) for i in range(args.max_m + 1) for j in range(args.max_n + 1)]
+    _write(
+        args,
+        args.json,
+        lambda: "\n".join(f"({i},{j}): {series.coefficient(i, j)}" for i, j in cells),
+        lambda: {
             "max_m": args.max_m,
             "max_n": args.max_n,
             "coefficients": [
-                {
-                    "m": i,
-                    "n": j,
-                    "terms": series.coefficient(i, j).to_json_terms(),
-                }
-                for i in range(args.max_m + 1)
-                for j in range(args.max_n + 1)
+                {"m": i, "n": j, "terms": series.coefficient(i, j).to_json_terms()}
+                for i, j in cells
             ],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = [
-            f"({i},{j}): {series.coefficient(i, j)}"
-            for i in range(args.max_m + 1)
-            for j in range(args.max_n + 1)
-        ]
-        _emit("\n".join(lines), args.output)
+        },
+    )
     return 0
 
 
@@ -274,15 +271,14 @@ def _cmd_verify(args):
     # the report file first: a path that cannot be written leaves stdout empty
     if args.json:
         ordered = sorted(verdicts, key=lambda v: (v.name, v.params))
-        payload = {
-            "schema": SCHEMA_VERSION,
+        report = {
             "suites": names,
             "passed": failed == 0,
             "notes": notes,
             "verdicts": [v.to_json() for v in ordered],
         }
-        _emit(json.dumps(payload, indent=2), args.json)
-    sys.stdout.write(text)
+        _emit(_envelope(report), args.json)
+    _emit(text, None)
     return 0 if failed == 0 else 1
 
 

@@ -304,21 +304,21 @@ def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 # -- dispatch ----------------------------------------------------------
 
 # Every route, keyed by (kind, method) in the order the command line lists
-# them.  Each entry is (sized, route): route takes (m, n, size_cap), and
-# sized says whether it enumerates the lattice and so reads the cap.  The
-# routes name the route functions instead of holding them, so a function
-# replaced on this module (patched in a test, wrapped by a tracer) is the
-# one that runs.
+# them.  Each entry is (cap, route): route takes (m, n, size_cap), and cap
+# is the default size cap of a route that enumerates the lattice, None for
+# a route that reads no cap.  The routes name the route functions instead
+# of holding them, so a function replaced on this module (patched in a
+# test, wrapped by a tracer) is the one that runs.
 ROUTES = {
-    ("mtriangle", "brute"): (True, lambda m, n, cap: m_triangle_brute(m, n, cap)),
-    ("mtriangle", "interval"): (True, lambda m, n, cap: m_triangle_interval(m, n, cap)),
-    ("mtriangle", "formula"): (False, lambda m, n, cap: m_triangle_formula(m, n)),
-    ("mtriangle", "compsum"): (False, lambda m, n, cap: m_triangle_composition_sum(m, n)),
-    ("mtriangle", "series"): (False, lambda m, n, cap: m_series(m, n).coefficient(m, n)),
-    ("htriangle", "brute"): (True, lambda m, n, cap: h_triangle_brute(m, n, cap)),
-    ("htriangle", "formula"): (False, lambda m, n, cap: h_triangle_formula(m, n)),
-    ("chpoly", "brute"): (True, lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap))),
-    ("chpoly", "formula"): (False, lambda m, n, cap: char_poly_formula(m, n)),
+    ("mtriangle", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: m_triangle_brute(m, n, cap)),
+    ("mtriangle", "interval"): (BRUTE_SIZE_CAP, lambda m, n, cap: m_triangle_interval(m, n, cap)),
+    ("mtriangle", "formula"): (None, lambda m, n, cap: m_triangle_formula(m, n)),
+    ("mtriangle", "compsum"): (None, lambda m, n, cap: m_triangle_composition_sum(m, n)),
+    ("mtriangle", "series"): (None, lambda m, n, cap: m_series(m, n).coefficient(m, n)),
+    ("htriangle", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: h_triangle_brute(m, n, cap)),
+    ("htriangle", "formula"): (None, lambda m, n, cap: h_triangle_formula(m, n)),
+    ("chpoly", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap))),
+    ("chpoly", "formula"): (None, lambda m, n, cap: char_poly_formula(m, n)),
 }
 
 #: kind -> its methods, in table order
@@ -326,13 +326,12 @@ METHODS = {kind: tuple(meth for k, meth in ROUTES if k == kind) for kind, _ in R
 M_METHODS = METHODS["mtriangle"]
 H_METHODS = METHODS["htriangle"]
 CH_METHODS = METHODS["chpoly"]
-#: the (kind, method) keys whose route reads the size cap
-SIZED_ROUTES = frozenset(key for key, (sized, _) in ROUTES.items() if sized)
 
 
-def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
+def compute(kind, m, n, method, size_cap=None) -> BivarPoly:
     """The ``kind`` polynomial of Shuf(m, n) by the route ``method``.
 
+    A ``size_cap`` of None gives the route the cap of its ROUTES entry.
     Unknown kinds and methods and negative sizes raise ValueError before
     any route runs, so every route sees the same valid input.
     """
@@ -342,5 +341,5 @@ def compute(kind, m, n, method, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
         raise ValueError(f"unknown {kind} method {method!r}")
     if m < 0 or n < 0:
         raise ValueError(f"sizes must be nonnegative, got ({m}, {n})")
-    _, route = ROUTES[(kind, method)]
-    return route(m, n, size_cap)
+    cap, route = ROUTES[(kind, method)]
+    return route(m, n, cap if size_cap is None else size_cap)

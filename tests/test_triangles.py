@@ -331,3 +331,18 @@ def test_compute_dispatch():
         compute("mtriangle", 1, 1, "nope")
     with pytest.raises(ValueError):
         compute("unknown", 1, 1, "brute")
+    # the routes that enumerate the lattice carry the brute cap in their
+    # ROUTES entry, which compute applies when no cap is passed
+    sized = {key for key, (cap, _) in ROUTES.items() if cap is not None}
+    assert sized == {
+        ("mtriangle", "brute"),
+        ("mtriangle", "interval"),
+        ("htriangle", "brute"),
+        ("chpoly", "brute"),
+    }
+    assert {cap for cap, _ in ROUTES.values()} == {None, triangles.BRUTE_SIZE_CAP}
+    with pytest.raises(SizeLimitExceeded):
+        compute("chpoly", 5, 5, "brute")
+    with pytest.raises(SizeLimitExceeded):
+        compute("chpoly", 2, 2, "brute", 0)
+    assert compute("chpoly", 2, 2, "formula", 0) == char_poly_formula(2, 2)
