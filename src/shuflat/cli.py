@@ -9,11 +9,18 @@ enumerate, hasse and the triangle routes that read a cap (those whose
 triangles.ROUTES entry carries one); an explicit --size-cap wins over
 both, and --force wins over all three.  verify and series read neither.
 All output is deterministic: repeated runs are byte-identical.
+
+``run`` may be called any number of times in one process.  The argparse
+tree is built once, on the first call, and reused: every default in it
+is immutable and each call parses into a fresh namespace, so no call
+leaves state for the next, and help text still wraps to the terminal
+width at the time of the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +66,7 @@ def _add_mn(parser):
     parser.add_argument("n", type=_nonneg)
 
 
+@functools.cache
 def _parser():
     parser = argparse.ArgumentParser(
         prog="shuflat",

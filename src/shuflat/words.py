@@ -123,8 +123,12 @@ def check_size(m, n, cap):
 def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     """All shuffle words for (m, n), in length-then-lexicographic order.
 
-    The letter order is x1 < ... < xm < y1 < ... < yn.  Raises
-    SizeLimitExceeded when the predicted count is above ``size_cap``.
+    The letter order is x1 < ... < xm < y1 < ... < yn.  The depth-first
+    walk appends each word before its extensions and tries the letters
+    in that order, so it emits the words in lexicographic order; a
+    stable sort by length alone keeps that order within each length.
+    Raises SizeLimitExceeded when the predicted count is above
+    ``size_cap``.
     """
     check_size(m, n, size_cap)
     out = []
@@ -142,7 +146,7 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
             stack.pop()
 
     extend(1, 1)
-    out.sort(key=lambda w: (len(w), w))
+    out.sort(key=len)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -419,3 +420,96 @@ def test_huge_size_cap_is_an_internal_error_not_a_traceback(capsys):
     assert (code, out) == (4, "")
     assert err.startswith("internal error: RecursionError(") and err.count("\n") == 1
 
+
+
+def run_fresh(capsys, monkeypatch, *argv):
+    """run_cli with a parser built anew for the call, as before the reuse."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli._parser.__wrapped__)
+        return run_cli(capsys, *argv)
+
+
+def _all_parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_parsers(sub)
+
+
+def test_parser_built_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(10):
+        assert run_cli(capsys, "mtriangle", "1", "1")[0] == 0
+        assert run_cli(capsys, "series", "1", "1", "--json")[0] == 0
+        assert run_cli(capsys, "mtriangle", "1")[0] == 2
+    assert cli._parser.cache_info().misses == 1
+    # nothing a request can change is kept in the parser
+    for parser in _all_parsers(cli._parser()):
+        for action in parser._actions:
+            assert isinstance(action.default, (type(None), bool, int, str))
+        assert all(callable(value) for value in parser._defaults.values())
+
+
+def test_no_state_leaks_between_calls(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "mtriangle", "2", "2", "--json")
+    assert code == 0 and out.startswith("{")
+    code, out2, _ = run_cli(capsys, "mtriangle", "2", "2")
+    assert code == 0 and not out2.startswith("{")
+    assert out2 == run_cli(capsys, "mtriangle", "2", "2", "--method", "brute")[1]
+
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, "mtriangle", "1", "1", "-o", str(target)) == (0, "", "")
+    assert run_cli(capsys, "mtriangle", "1", "1") == (0, GOLDEN_M11 + "\n", "")
+
+    brute = ("mtriangle", "2", "2", "--method", "brute")
+    assert run_cli(capsys, *brute, "--size-cap", "3")[0] == 3
+    code, out, _ = run_cli(capsys, *brute)
+    assert (code, out) == (0, out2)
+    # an option of one command is not seen by the next command
+    assert run_cli(capsys, *brute, "--force")[0] == 0
+    assert run_cli(capsys, "enumerate", "2", "2", "--size-cap", "3")[0] == 3
+
+    report = tmp_path / "report.json"
+    verify = ("verify", "--suite", "relations", "--max-m", "1", "--max-n", "1")
+    code, out, _ = run_cli(capsys, *verify, "--json", str(report))
+    assert code == 0 and report.exists()
+    report.unlink()
+    assert run_cli(capsys, *verify) == (0, out, "")
+    assert not report.exists()
+
+
+PARSER_CASES = [
+    ("--help",),
+    *[(command, "--help") for command in
+      ("enumerate", "hasse", *triangles.METHODS, "series", "verify")],
+    ("mtriangle", "1"),
+    ("mtriangle", "-1", "2"),
+    ("mtriangle", "1", "1", "--method", "bogus"),
+    ("verify", "--suite", "bogus"),
+    ("unknown-command",),
+    (),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) or "empty" for a in PARSER_CASES])
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch, argv):
+    expected = run_fresh(capsys, monkeypatch, *argv)
+    assert expected[0] in (0, 2) and (expected[1] or expected[2])
+    assert run_cli(capsys, *argv) == expected
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=["top", "verify"])
+def test_help_wraps_to_the_width_at_call_time(capsys, monkeypatch, argv):
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "160")
+    wide = run_cli(capsys, *argv)
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run_cli(capsys, *argv)
+    assert cli._parser.cache_info().misses == 1
+    assert narrow != wide
+    assert narrow == run_fresh(capsys, monkeypatch, *argv)
+    monkeypatch.setenv("COLUMNS", "160")
+    assert wide == run_fresh(capsys, monkeypatch, *argv)
+    assert run_cli(capsys, *argv) == wide

@@ -114,10 +114,21 @@ def test_enumerate_matches_interleaving_oracle():
             assert set(listing) == interleaving_words(m, n)
 
 
+def order_oracle(listing):
+    """The sort the enumeration once made: by length, then by word."""
+    return sorted(listing, key=lambda u: (len(u), u))
+
+
 def test_enumerate_counts_match_formula():
+    # also checks the order, to enumerate these lattices only once
     for m in range(7):
         for n in range(7):
-            assert len(enumerate_shuffle_words(m, n)) == shuffle_word_count(m, n)
+            listing = enumerate_shuffle_words(m, n)
+            assert len(listing) == shuffle_word_count(m, n)
+            assert listing == order_oracle(listing)
+            for a, b in zip(listing, listing[1:]):
+                # lengths never fall, and each length block strictly increases
+                assert len(a) < len(b) or (len(a) == len(b) and a < b)
 
 
 def test_enumerate_canonical_order():
