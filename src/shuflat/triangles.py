@@ -196,28 +196,31 @@ def m_triangle_formula(m: int, n: int) -> BivarPoly:
 def m_triangle_composition_sum(m: int, n: int) -> BivarPoly:
     """M-triangle from the composition-grouped double sum.
 
-    Builds N(q,t) = sum over j <= m, k <= n of
+    N(q,t) = sum over j <= m, k <= n of
     C(n,k) C(m,j) (qt)^(k+j) (t+1)^(n-k) *
-    sum_l C(m-j+k, l+k) C(n+l, l) t^l,
-    which equals the M-triangle with both variables negated; the result
-    is recovered by negating them back.
+    sum_l C(m-j+k, l+k) C(n+l, l) t^l
+    equals the M-triangle with both variables negated.  Expanding
+    (t+1)^(n-k) binomially, each (j, k, e, l) adds
+    C(n,k) C(m,j) C(n-k,e) C(m-j+k, l+k) C(n+l, l) at q^(j+k) t^(j+k+e+l),
+    so the coefficients are integer sums; negating the variables back
+    multiplies [q^s t^(s+d)] by (-1)^d.
     """
-    qt = Q * T
-    t_plus_1 = T + 1
-    acc = BivarPoly()
-    for j in range(m + 1):
-        for k in range(n + 1):
-            inner = BivarPoly(
-                {
-                    (0, l): comb(m - j + k, l + k) * comb(n + l, l)
-                    for l in range(m - j + 1)
-                }
-            )
-            if inner.is_zero():
-                continue
+    # acc[s][d]: [q^s t^(s+d)] N
+    acc = [[0] * (m + n + 1) for _ in range(m + n + 1)]
+    for k in range(n + 1):
+        t_plus_1 = [comb(n - k, e) for e in range(n - k + 1)]
+        for j in range(m + 1):
             c = comb(n, k) * comb(m, j)
-            acc = acc + c * qt ** (k + j) * t_plus_1 ** (n - k) * inner
-    return acc.negate_vars()
+            inner = [c * comb(m - j + k, l + k) * comb(n + l, l) for l in range(m - j + 1)]
+            row = acc[j + k]
+            for e, b in enumerate(t_plus_1):
+                for d, a in enumerate(inner, e):  # d = e + l
+                    row[d] += b * a
+    return BivarPoly({
+        (s, s + d): -c if d & 1 else c
+        for s, row in enumerate(acc)
+        for d, c in enumerate(row)
+    })
 
 
 def series_denominator_terms(cross_term=CROSS_TERM_Q_MINUS_1):
@@ -246,6 +249,12 @@ def m_series(max_m, max_n, cross_term=CROSS_TERM_Q_MINUS_1) -> TruncatedSeries2:
     """Truncated series whose (m, n) coefficient is the M-triangle of
     Shuf(m, n), extracted from the rational generating function."""
     return series_reciprocal(series_denominator_terms(cross_term), max_m, max_n)
+
+
+def m_series_coefficient(m, n) -> BivarPoly:
+    """m_series(m, n).coefficient(m, n), with only that cell unpacked."""
+    denominator = TruncatedSeries2.from_terms(series_denominator_terms(), m, n)
+    return denominator.reciprocal_coefficient(m, n)
 
 
 def adjudicate_series_cross_term(max_m=2, max_n=2):
@@ -314,7 +323,7 @@ ROUTES = {
     ("mtriangle", "interval"): (BRUTE_SIZE_CAP, lambda m, n, cap: m_triangle_interval(m, n, cap)),
     ("mtriangle", "formula"): (None, lambda m, n, cap: m_triangle_formula(m, n)),
     ("mtriangle", "compsum"): (None, lambda m, n, cap: m_triangle_composition_sum(m, n)),
-    ("mtriangle", "series"): (None, lambda m, n, cap: m_series(m, n).coefficient(m, n)),
+    ("mtriangle", "series"): (None, lambda m, n, cap: m_series_coefficient(m, n)),
     ("htriangle", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: h_triangle_brute(m, n, cap)),
     ("htriangle", "formula"): (None, lambda m, n, cap: h_triangle_formula(m, n)),
     ("chpoly", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: char_poly_brute(build_shuffle_lattice(m, n, cap))),

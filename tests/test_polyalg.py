@@ -6,6 +6,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from shuflat import cli, polyalg
 from shuflat.polyalg import (
     ONE,
     Q,
@@ -88,6 +89,70 @@ def test_rendering_golden():
     ]
 
 
+def render_oracle(poly):
+    """The term-by-term renderer that BivarPoly.__str__ replaced, kept as
+    a test-only oracle."""
+    items = sorted(poly._terms.items(), key=lambda item: (-sum(item[0]), -item[0][1]))
+    if not items:
+        return "0"
+    pieces = []
+    for (dq, dt), coeff in items:
+        mono = []
+        if dq:
+            mono.append("q" if dq == 1 else f"q^{dq}")
+        if dt:
+            mono.append("t" if dt == 1 else f"t^{dt}")
+        mag = abs(coeff)
+        if mag != 1 or not mono:
+            mono.insert(0, str(mag))
+        body = "*".join(mono)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def json_terms_oracle(poly):
+    """The JSON rows that BivarPoly.to_json_terms wrote before it shared
+    the renderer's ordering, kept as a test-only oracle."""
+    items = sorted(poly._terms.items(), key=lambda item: (-sum(item[0]), -item[0][1]))
+    return [[dq, dt, str(coeff)] for (dq, dt), coeff in items]
+
+
+render_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 10, -10, 2**64 + 1, -(2**64) - 1, 3**90, -(3**90)]),
+    st.integers(-(2**70), 2**70),
+)
+render_polys = st.dictionaries(
+    st.tuples(st.integers(0, 14), st.integers(0, 14)), render_coefficients, max_size=12
+).map(BivarPoly)
+
+
+@SETTINGS
+@hypothesis.given(render_polys)
+@hypothesis.example(ZERO)
+@hypothesis.example(ONE)
+@hypothesis.example(-ONE)
+@hypothesis.example(-Q * T + T**12 - 1)
+@hypothesis.example(BivarPoly({(10, 0): -1, (0, 11): 1, (3, 9): 2**65}))
+def test_rendering_matches_term_by_term_oracle(poly):
+    assert str(poly) == render_oracle(poly)
+    assert poly.to_json_terms() == json_terms_oracle(poly)
+    assert poly.terms() == [((dq, dt), int(c)) for dq, dt, c in json_terms_oracle(poly)]
+
+
+def test_equal_polynomials_hash_equal():
+    assert len({5, BivarPoly.constant(5)}) == 1
+    assert hash(BivarPoly.constant(-7)) == hash(-7)
+    assert hash(ZERO) == hash(0) == hash(BivarPoly({(0, 0): 0}))
+    assert hash(ONE) == hash(1)
+    p = Q**2 * T - 3 * Q + 2
+    assert hash(p) == hash(BivarPoly({(0, 0): 2, (1, 0): -3, (2, 1): 1}))
+    assert hash(Q - Q + 4) == hash(4)
+    assert {ZERO: "zero"}[0] == "zero"
+
+
 def random_poly(rng, max_terms=8):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -167,6 +232,15 @@ def test_series_rejects_misshaped_coefficients():
         TruncatedSeries2(1, 1, [[ONE, ONE]])
     with pytest.raises(ValueError):
         TruncatedSeries2(1, 1, [[ONE, ONE], [ONE]])
+
+
+def test_series_rejects_negative_truncation_orders():
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_reciprocal({(0, 0): ONE}, -1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_reciprocal({(0, 0): ONE}, 2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncatedSeries2(-1, 0, [])
 
 
 def test_series_requires_unit_constant():
@@ -268,3 +342,79 @@ def test_reciprocal_rejects_negative_exponents():
         series_reciprocal({(0, 0): ONE, (1, 0): BivarPoly({(-1, 0): -1})}, 3, 0)
     with pytest.raises(ValueError, match="negative exponent"):
         series_reciprocal({(0, 0): ONE, (1, 1): BivarPoly({(2, -1): 5})}, 1, 1)
+
+
+@SETTINGS
+@hypothesis.given(denominators())
+def test_symmetric_denominator_reciprocal_matches_recurrence_oracle(d):
+    # the reciprocal takes a symmetric denominator's cells below the
+    # diagonal from their mirrors; the oracle computes every cell
+    for i in range(min(d.max_x, d.max_y) + 1):
+        for j in range(i):
+            d.coeff[i][j] = d.coeff[j][i]
+    assert d.reciprocal() == reciprocal_oracle(d)
+
+
+def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), 4, 2)
+    s = d.reciprocal()
+    assert s.coefficient(1, 0) is s.coefficient(0, 1)
+    assert s.coefficient(2, 1) is s.coefficient(1, 2)
+    # rows 3 and 4 lie below the square and are unpacked
+    assert s == reciprocal_oracle(d)
+    lopsided = TruncatedSeries2.from_terms({(0, 0): ONE, (1, 0): -ONE, (0, 1): -Q}, 2, 2)
+    r = lopsided.reciprocal()
+    assert r.coefficient(1, 0) == ONE and r.coefficient(0, 1) == Q
+    assert r == reciprocal_oracle(lopsided)
+
+
+@pytest.mark.parametrize("variant", [CROSS_TERM_Q_MINUS_1, CROSS_TERM_Q_PLUS_1])
+def test_one_cell_reader_matches_reciprocal(variant):
+    d = TruncatedSeries2.from_terms(series_denominator_terms(variant), 8, 8)
+    full = d.reciprocal()
+    for m in range(9):
+        for n in range(9):
+            assert d.reciprocal_coefficient(m, n) == full.coefficient(m, n)
+
+
+@SETTINGS
+@hypothesis.given(denominators())
+def test_one_cell_reader_matches_recurrence_oracle(d):
+    oracle = reciprocal_oracle(d)
+    for m in range(d.max_x + 1):
+        for n in range(d.max_y + 1):
+            assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
+
+
+def test_one_cell_reader_rejects_cells_outside_the_series():
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), 2, 3)
+    for cell in ((3, 0), (0, 4), (-1, 0)):
+        with pytest.raises(IndexError):
+            d.reciprocal_coefficient(*cell)
+
+
+def counting_unpacks(monkeypatch):
+    calls = []
+    unpack = polyalg._Unpacker.__call__
+
+    def counted(self, value, box):
+        calls.append(box)
+        return unpack(self, value, box)
+
+    monkeypatch.setattr(polyalg._Unpacker, "__call__", counted)
+    return calls
+
+
+def test_series_route_unpacks_one_cell(monkeypatch, capsys):
+    calls = counting_unpacks(monkeypatch)
+    assert cli.run(["mtriangle", "6", "6", "--method", "series"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("q^12*t^12 - ")
+
+
+def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
+    calls = counting_unpacks(monkeypatch)
+    assert cli.run(["series", "3", "2"]) == 0
+    # the cells (m, n) with n >= m, and the row below the square
+    assert len(calls) == 6 + 3
+    capsys.readouterr()

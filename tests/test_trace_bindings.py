@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/trace_layers.py) re-binds named
 functions of shuflat; this checks that every name it needs still exists,
-that a traced run records the route, word, closed-form, Mobius and
-verify spans, and that restore() puts the originals back."""
+that a traced run records the route, word, closed-form, series,
+rendering, Mobius and verify spans, and that restore() puts the
+originals back."""
 
 import os
 
@@ -27,6 +28,11 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # the closed-form routes carry the closed workload's layer metrics
         assert cli.run(["mtriangle", "2", "2", "--method", "formula"]) == 0
         assert cli.run(["chpoly", "2", "2", "--method", "formula"]) == 0
+        # the series reciprocal, the one-cell series route, the composition
+        # sum and rendering carry the closed workload's polyalg layer
+        assert cli.run(["series", "2", "2"]) == 0
+        assert cli.run(["mtriangle", "2", "2", "--method", "series"]) == 0
+        assert cli.run(["mtriangle", "2", "2", "--method", "compsum"]) == 0
         # the suite runners and the relation checks carry the verify spans
         for suite in ("identities", "relations"):
             assert cli.run(["verify", "--suite", suite, "--max-m", "1", "--max-n", "1"]) == 0
@@ -41,6 +47,10 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         "poset.mobius_row",
         "triangles.mtriangle.formula",
         "triangles.chpoly.formula",
+        "polyalg.reciprocal",
+        "polyalg.render",
+        "triangles.mtriangle.series",
+        "triangles.mtriangle.compsum",
         "identities.suite.identities",
         "identities.suite.relations",
         "identities.grid_eval",

@@ -248,9 +248,11 @@ def test_m_triangle_composition_sum_matches():
     assert m_triangle_composition_sum(0, 0) == ONE
     assert m_triangle_composition_sum(1, 1) == m_triangle_brute(1, 1)
     assert m_triangle_composition_sum(2, 3) == m_triangle_formula(2, 3)
-    for m in range(5):
-        for n in range(5):
+    for m in range(9):
+        for n in range(9):
             assert m_triangle_composition_sum(m, n) == m_triangle_formula(m, n)
+    for m, n in ((12, 3), (3, 12)):
+        assert m_triangle_composition_sum(m, n) == m_triangle_formula(m, n)
 
 
 def test_m_series_coefficients():
@@ -263,6 +265,16 @@ def test_m_series_coefficients():
     for m in range(6):
         for n in range(6):
             assert series.coefficient(m, n) == m_triangle_formula(m, n)
+
+
+def test_series_route_reads_the_generating_function_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the series route called the formula")
+
+    monkeypatch.setattr(triangles, "m_triangle_formula", refuse)
+    monkeypatch.setattr(triangles, "m_triangle_composition_sum", refuse)
+    for m, n in ((0, 0), (3, 1), (4, 4)):
+        assert compute("mtriangle", m, n, "series") == m_series(m, n).coefficient(m, n)
 
 
 def test_series_cross_term_adjudication():
