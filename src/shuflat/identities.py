@@ -151,14 +151,15 @@ def _first_failure(name, params, cases):
     return IdentityVerdict(name, params, True)
 
 
-def _substitution_verdict(name, m, n, target, a, b, c):
-    """(q-1)^d target against sum_ij [q^i t^j]H a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n,
-    powers read from tables; a term of H outside i <= d, j <= d+i raises ValueError."""
+def _substitution_verdict(name, m, n, h, target, a, b, c):
+    """(q-1)^d target against sum_ij [q^i t^j]h a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n,
+    for the H-triangle ``h`` of Shuf(m, n), powers read from tables; a term of
+    h outside i <= d, j <= d+i raises ValueError."""
     d = m + n
     a_pow, c_pow = _powers(ONE, a, d), _powers(ONE, c, d)
     b_pow, q1_pow = _powers(ONE, b, 2 * d), _powers(ONE, Q - 1, 2 * d)
     rhs = BivarPoly()
-    for (i, j), coeff in triangles.h_triangle_formula(m, n).terms():
+    for (i, j), coeff in h.terms():
         if not (0 <= i <= d and 0 <= j <= d + i):
             raise ValueError(f"H term q^{i}*t^{j} needs a negative power at d = {d}")
         rhs = rhs + coeff * a_pow[i] * b_pow[j] * q1_pow[d + i - j] * c_pow[d - i]
@@ -168,14 +169,15 @@ def _substitution_verdict(name, m, n, target, a, b, c):
 def verify_h_to_m(m, n) -> IdentityVerdict:
     """M(q,t) = (1-t)^d H(t(q-1)/(1-t), q/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j."""
-    return _substitution_verdict("h-to-m", m, n, triangles.m_triangle_formula(m, n), T, Q, 1 - T)
+    h, target = triangles.h_triangle_formula(m, n), triangles.m_triangle_formula(m, n)
+    return _substitution_verdict("h-to-m", m, n, h, target, T, Q, 1 - T)
 
 
 def verify_char_from_h(m, n) -> IdentityVerdict:
     """ch(q) = q^d H((q-1)/q, (1-2q)/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j."""
-    ch = triangles.char_poly_formula(m, n)
-    return _substitution_verdict("char-from-h", m, n, ch, ONE, 1 - 2 * Q, Q)
+    h, target = triangles.h_triangle_formula(m, n), triangles.char_poly_formula(m, n)
+    return _substitution_verdict("char-from-h", m, n, h, target, ONE, 1 - 2 * Q, Q)
 
 
 # -- verification suites ------------------------------------------------

@@ -19,6 +19,7 @@ else of the bubble order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .poset import Poset, build_poset
@@ -48,34 +49,32 @@ class DegreeTriple(NamedTuple):
     in_transpose: int
 
 
+@lru_cache(maxsize=16)
+def _y_words(n):
+    """The one-letter words (y_j,) at index j, for j = 0..n+1.  y_(n+1)
+    closes the last gap of absent y-indices; nothing inserts it or y_0."""
+    return tuple((Letter(FAMILY_Y, j),) for j in range(n + 2))
+
+
 def indel_successors(u, m, n):
     """All words one indel above u: delete any x-letter, or insert an
     absent y-letter at any position that keeps the word valid.  The
     order of the list is unspecified."""
     out = []
-    for pos, letter in enumerate(u):
-        if letter.family == FAMILY_X:
-            out.append(u[:pos] + u[pos + 1 :])
-    for pos, letter in _y_insertions(u, n):
-        out.append(u[:pos] + (letter,) + u[pos:])
-    return out
-
-
-def _y_insertions(u, n):
-    """(pos, y_j) for every absent y_j and every pos where inserting it
-    keeps the y-indices of u increasing."""
-    # each y-letter of u (and a sentinel past the end) bounds the slots
-    # of the absent indices below it
-    bounds = [(pos, letter.index) for pos, letter in enumerate(u) if letter.family == FAMILY_Y]
-    bounds.append((len(u), n + 1))
+    singles = _y_words(n)
+    # each y-letter of u (and y_(n+1) past the end) closes a gap: the
+    # absent indices below it go into the slots lo..hi before it
     lo = below = 0
-    for hi, above in bounds:
-        for j in range(below + 1, above):
-            letter = Letter(FAMILY_Y, j)
+    for hi, letter in enumerate(u + singles[n + 1]):
+        if letter.family == FAMILY_X:
+            out.append(u[:hi] + u[hi + 1 :])
+            continue
+        for y in singles[below + 1 : letter.index]:
             for pos in range(lo, hi + 1):
-                yield pos, letter
+                out.append(u[:pos] + y + u[pos:])
         lo = hi + 1
-        below = above
+        below = letter.index
+    return out
 
 
 def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
@@ -86,31 +85,39 @@ def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
     labels = enumerate_shuffle_words(m, n, size_cap)
     index = {w: i for i, w in enumerate(labels)}
     covers = []
-    for w in labels:
-        i = index[w]
-        for v in indel_successors(w, m, n):
-            covers.append((i, index[v]))
+    for i, w in enumerate(labels):
+        # sorted per word, so the whole list arrives sorted
+        uppers = sorted([index[v] for v in indel_successors(w, m, n)])
+        covers += [(i, j) for j in uppers]
     return build_poset(labels, covers)
+
+
+def _bubble_covers_above(u, m, n):
+    """(upper, kind) for every bubble cover directly above u, unsorted."""
+    last = len(u) - 1
+    for pos, letter in enumerate(u):
+        if letter.family == FAMILY_X:
+            if pos == last or u[pos + 1].family == FAMILY_X:
+                yield u[:pos] + u[pos + 1 :], KIND_INDEL
+            else:
+                yield u[:pos] + (u[pos + 1], letter) + u[pos + 2 :], KIND_TRANSPOSE
+    # right insertion: the new y-letter is last or precedes a y-letter.
+    # Within a gap of absent y-indices only the last slot qualifies: it
+    # faces the y-letter that closes the gap (or the end), and every
+    # earlier slot faces an x-letter.
+    singles = _y_words(n)
+    below = 0
+    for hi, letter in enumerate(u + singles[n + 1]):
+        if letter.family == FAMILY_Y:
+            for y in singles[below + 1 : letter.index]:
+                yield u[:hi] + y + u[hi:], KIND_INDEL
+            below = letter.index
 
 
 def _bubble_upper_covers(u, m, n):
     """(upper, kind) pairs for the bubble covers directly above u, sorted
     by upper word (shorter first), then kind."""
-    out = []
-    last = len(u) - 1
-    for pos, letter in enumerate(u):
-        if letter.family == FAMILY_X:
-            if pos == last or u[pos + 1].family == FAMILY_X:
-                out.append((u[:pos] + u[pos + 1 :], KIND_INDEL))
-            else:
-                swapped = u[:pos] + (u[pos + 1], letter) + u[pos + 2 :]
-                out.append((swapped, KIND_TRANSPOSE))
-    for pos, letter in _y_insertions(u, n):
-        # right insertion: the new letter is last or precedes a y
-        if pos == len(u) or u[pos].family == FAMILY_Y:
-            out.append((u[:pos] + (letter,) + u[pos:], KIND_INDEL))
-    out.sort(key=lambda c: (len(c[0]), c))
-    return out
+    return sorted(_bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c))
 
 
 def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
@@ -128,7 +135,7 @@ def degree_statistics(m, n, size_cap=DEFAULT_SIZE_CAP):
     listing = enumerate_shuffle_words(m, n, size_cap)
     counts = {w: [0, 0] for w in listing}
     for u in listing:
-        for upper, kind in _bubble_upper_covers(u, m, n):
+        for upper, kind in _bubble_covers_above(u, m, n):
             counts[upper][0 if kind == KIND_INDEL else 1] += 1
     return {
         w: DegreeTriple(indel + transpose, indel, transpose)

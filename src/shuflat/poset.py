@@ -7,10 +7,12 @@ up-set iteration cheap even for a few thousand elements.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
 mu(a, v) = -sum of mu(a, r) over a <= r < v, taken over the up-set of a
-in rank order.  Each sum is read from value buckets: a dict mapping every
-nonzero value c to the bitset of the elements done so far that carry c,
-so sum over r < v of value(r) is sum of c * |bucket(c) & down(v)|, one
-popcount per distinct value (``bucket_sum``).
+in rank order.  Each sum is read from signed bit planes: a pair of lists
+(pos, neg) where bit i of pos[b] (neg[b]) says that element i carries a
+positive (negative) value with bit b set in its magnitude.  The sum of
+the values under a mask is then
+sum over b of 2^b (|pos[b] & mask| - |neg[b] & mask|), one popcount per
+plane, however many distinct values there are (``plane_sum``).
 """
 
 from __future__ import annotations
@@ -53,24 +55,44 @@ class Poset:
     def _mobius_row(self, a: int):
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order."""
         down = self._down
-        buckets = {1: 1 << a}
+        planes = ([1 << a], [])
         out = [(a, 1)]
         for v in self.up_set(a):
             if v == a:
                 continue
-            total = bucket_sum(buckets, down[v])
+            total = plane_sum(planes, down[v])
             if total:
-                buckets[-total] = buckets.get(-total, 0) | 1 << v
+                plane_put(planes, -total, 1 << v)
                 out.append((v, -total))
         return out
 
 
-def bucket_sum(buckets, mask: int) -> int:
-    """sum of c * |members & mask| over the value buckets {c: members}."""
+def plane_sum(planes, mask: int) -> int:
+    """Sum of the values held in the signed bit planes (pos, neg) over
+    the elements in ``mask``."""
+    pos, neg = planes
     total = 0
-    for c, members in buckets.items():
-        total += c * (members & mask).bit_count()
+    for b, plane in enumerate(pos):
+        total += (plane & mask).bit_count() << b
+    for b, plane in enumerate(neg):
+        total -= (plane & mask).bit_count() << b
     return total
+
+
+def plane_put(planes, value: int, bit: int) -> None:
+    """Record ``value`` at the element ``bit`` (a one-bit mask) in the
+    signed bit planes (pos, neg); the element must hold no value yet."""
+    side = planes[0] if value > 0 else planes[1]
+    magnitude = abs(value)
+    short = magnitude.bit_length() - len(side)
+    if short > 0:
+        side.extend([0] * short)
+    b = 0
+    while magnitude:
+        if magnitude & 1:
+            side[b] |= bit
+        magnitude >>= 1
+        b += 1
 
 
 def _bits(mask: int):
@@ -91,7 +113,8 @@ def build_poset(labels, covers) -> Poset:
     Raises CycleDetected if the cover digraph is not a DAG.
     """
     n = len(labels)
-    covers = sorted(set((int(a), int(b)) for a, b in covers))
+    # dict.fromkeys dedupes in order, so sorted input sorts in one pass
+    covers = sorted(dict.fromkeys([(int(a), int(b)) for a, b in covers]))
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"cover ({a},{b}) references a missing element")

@@ -42,7 +42,7 @@ from __future__ import annotations
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
-from .poset import NoBottom, NotGraded, Poset, bucket_sum
+from .poset import NoBottom, NotGraded, Poset, plane_put, plane_sum
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, series_reciprocal
 from .words import enumerate_shuffle_words, interval_shape, rank
 
@@ -94,7 +94,10 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     over u <= w < v against q^rank(u) gives
     g(v) = q^rank(v) - sum of g(w) over w < v.  The elements are taken in
     rank order, and for each q-degree the values g(w) done so far sit in
-    value buckets, so the sum costs one popcount per bucket.
+    signed bit planes, so the sum costs one popcount per plane.  Only
+    elements of rank d or more carry [q^d] g, so degree d's planes start
+    at the first element of rank d, and each down-set is shifted to that
+    window once per degree.
 
     No Poset is built: the covers are the indels, and each down-set is
     the union of the down-sets pushed up by v's lower covers, complete
@@ -104,27 +107,34 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     without lower covers must have rank 0, else NotGraded.
     """
     words = enumerate_shuffle_words(m, n, size_cap)
-    words.sort(key=lambda w: rank(w, m))
     ranks = [rank(w, m) for w in words]
+    order = sorted(range(len(words)), key=ranks.__getitem__)
+    words = [words[i] for i in order]
+    ranks = [ranks[i] for i in order]
+    # start[d]: the position of the first element of rank d
+    start = []
+    for v, r in enumerate(ranks):
+        while len(start) <= r:
+            start.append(v)
     index = {w: i for i, w in enumerate(words)}
     # below[v]: union of the down-sets of the lower covers of v seen so far
     below = [0] * len(words)
-    # buckets[d]: {c: bitset of the w done so far with [q^d] g(w) = c}
-    buckets = [{} for _ in range(m + n + 1)]
+    # planes[d]: [q^d] g(w) of the w done so far, bit w - start[d]
+    planes = [([], []) for _ in start]
     terms = {}
     for v, w in enumerate(words):
         r = ranks[v]
         if r and not below[v]:
             raise NotGraded(f"element {v} has no lower cover but rank {r}")
-        bit = 1 << v
-        down = below[v] | bit
+        down = below[v] | 1 << v
         below[v] = 0  # only two rank levels of down-sets are held at once
         for d in range(r):
-            total = bucket_sum(buckets[d], down)
+            offset = start[d]
+            total = plane_sum(planes[d], down >> offset)
             if total:
-                buckets[d][-total] = buckets[d].get(-total, 0) | bit
+                plane_put(planes[d], -total, 1 << (v - offset))
                 terms[(d, r)] = terms.get((d, r), 0) - total
-        buckets[r][1] = buckets[r].get(1, 0) | bit
+        plane_put(planes[r], 1, 1 << (v - start[r]))
         terms[(r, r)] = terms.get((r, r), 0) + 1
         for upper in indel_successors(w, m, n):
             u = index[upper]
@@ -140,16 +150,21 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     Each word u contributes (qt)^rank(u) times the product, over its
     interval shape, of factor characteristic polynomials evaluated in t.
     That term depends only on the rank of u and on the multiset of its
-    (x_block, y_gap) pairs, so the words are counted per such class and
-    each class's product is made once.
+    (x_block, y_gap) pairs, so the words are counted per shape, the
+    shapes are folded into such classes, and each class's product is
+    made once.  The rank is m + y_count - (x-letters), read off the shape.
     """
-    classes = {}
+    shapes = {}
     for u in enumerate_shuffle_words(m, n, size_cap):
         shape = interval_shape(u, m, n)
-        key = (rank(u, m), tuple(sorted(zip(shape.x_blocks, shape.y_gaps))))
-        classes[key] = classes.get(key, 0) + 1
-    shapes = {pair for _, pairs in classes for pair in pairs}
-    factors = {pair: char_poly_formula(*pair).swap_vars() for pair in shapes}
+        shapes[shape] = shapes.get(shape, 0) + 1
+    classes = {}
+    for shape, count in shapes.items():
+        r = m + shape.y_count - sum(shape.x_blocks)
+        key = (r, tuple(sorted(zip(shape.x_blocks, shape.y_gaps))))
+        classes[key] = classes.get(key, 0) + count
+    used = {pair for _, pairs in classes for pair in pairs}
+    factors = {pair: char_poly_formula(*pair).swap_vars() for pair in used}
     qt = Q * T
     acc = BivarPoly()
     for (r, pairs), count in classes.items():

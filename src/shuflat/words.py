@@ -160,7 +160,10 @@ def y_letters(word: Word) -> Word:
 
 def rank(word: Word, m: int) -> int:
     """Lattice rank: (number of y-letters) + m - (number of x-letters)."""
-    n_x = sum(1 for letter in word if letter.family == FAMILY_X)
+    n_x = 0
+    for letter in word:
+        if letter.family == FAMILY_X:
+            n_x += 1
     return (len(word) - n_x) + m - n_x
 
 
@@ -183,18 +186,20 @@ def interval_shape(u: Word, m: int, n: int) -> IntervalShape:
     virtual endpoints) and split the x-letters of u, in the order they
     sit inside u, into blocks counted by ``x_blocks``.
     """
-    chosen = [letter.index for letter in u if letter.family == FAMILY_Y]
-    k = len(chosen)
-    boundaries = [0] + chosen + [n + 1]
-    y_gaps = tuple(boundaries[j + 1] - boundaries[j] - 1 for j in range(k + 1))
-    x_blocks = [0] * (k + 1)
-    block = 0
+    x_blocks = []
+    y_gaps = []
+    block = below = 0
     for letter in u:
         if letter.family == FAMILY_Y:
-            block += 1
+            x_blocks.append(block)
+            y_gaps.append(letter.index - below - 1)
+            block = 0
+            below = letter.index
         else:
-            x_blocks[block] += 1
-    return IntervalShape(k, tuple(x_blocks), y_gaps)
+            block += 1
+    x_blocks.append(block)
+    y_gaps.append(n - below)
+    return IntervalShape(len(y_gaps) - 1, tuple(x_blocks), tuple(y_gaps))
 
 
 _TOKEN = re.compile(r"([xy])(\d+)")

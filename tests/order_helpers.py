@@ -14,6 +14,16 @@ from shuflat.poset import Poset, _bits, build_poset
 from shuflat.words import FAMILY_X, FAMILY_Y, Letter, interval_shape, x_letters
 
 
+def bucket_sum(buckets, mask: int) -> int:
+    """sum of c * |members & mask| over the value buckets {c: members}:
+    the Mobius sum as one popcount per distinct value, the oracle for
+    the signed bit planes of ``shuflat.poset.plane_sum``."""
+    total = 0
+    for c, members in buckets.items():
+        total += c * (members & mask).bit_count()
+    return total
+
+
 class NotComparable(ValueError):
     """interval(p, a, b) requires a <= b."""
 

@@ -134,6 +134,24 @@ def test_relations_fail_on_a_wrong_h(monkeypatch):
     assert verdict.rhs - verdict.lhs == T * (Q - 1) ** 4 * (1 - T) ** 3 * Q
 
 
+def test_relations_check_the_h_they_are_given():
+    # the substitution reads H from its argument: one coefficient off by
+    # one fails both relations, and the formula's own H passes both
+    m, n = 2, 1
+    h = triangles.h_triangle_formula(m, n)
+    (i, j), c = h.terms()[1]
+    wrong = h + BivarPoly({(i, j): 1})
+    assert wrong.coefficient(i, j) == c + 1
+    cases = (
+        ("h-to-m", triangles.m_triangle_formula(m, n), (T, Q, 1 - T)),
+        ("char-from-h", triangles.char_poly_formula(m, n), (ONE, 1 - 2 * Q, Q)),
+    )
+    for name, target, subs in cases:
+        assert identities._substitution_verdict(name, m, n, h, target, *subs).passed
+        verdict = identities._substitution_verdict(name, m, n, wrong, target, *subs)
+        assert not verdict.passed, name
+
+
 def test_relations_take_the_exponents_a_power_takes(monkeypatch):
     # at (1, 1), d = 2: a term of H needs i <= d and j <= d + i
     original = triangles.h_triangle_formula

@@ -19,6 +19,7 @@ from shuflat.words import (
     parse_word,
     rank,
     top_word,
+    validate,
 )
 
 
@@ -39,6 +40,33 @@ def test_indel_successors_raise_rank_by_one():
             for u in enumerate_shuffle_words(m, n):
                 for v in indel_successors(u, m, n):
                     assert rank(v, m) == rank(u, m) + 1
+
+
+def one_indel_above(u, m, n):
+    """The words one indel above u, from the definition: delete each
+    x-letter, or insert each absent y-letter at every position, keeping
+    what the validator accepts."""
+    out = {u[:pos] + u[pos + 1 :] for pos, letter in enumerate(u) if letter.family == "x"}
+    present = {letter.index for letter in u if letter.family == "y"}
+    for j in range(1, n + 1):
+        if j in present:
+            continue
+        for pos in range(len(u) + 1):
+            candidate = u[:pos] + (("y", j),) + u[pos:]
+            try:
+                out.add(validate(candidate, m, n))
+            except ValueError:
+                pass
+    return out
+
+
+def test_indel_successors_match_the_definition():
+    for m in range(7):
+        for n in range(7 - m):
+            for u in enumerate_shuffle_words(m, n):
+                successors = indel_successors(u, m, n)
+                assert len(successors) == len(set(successors)), u
+                assert set(successors) == one_indel_above(u, m, n), (m, n, u)
 
 
 def test_shuffle_lattice_boolean_case():
@@ -112,6 +140,20 @@ def test_degree_statistics_consistency():
             assert triple.in_total == triple.in_indel + triple.in_transpose
         transpositions = sum(1 for c in covers if c.kind == KIND_TRANSPOSE)
         assert transpositions == sum(t.in_transpose for t in stats.values())
+
+
+def test_degree_statistics_word_by_word():
+    # each word's in-degrees, tallied from the bubble cover list
+    for m, n in ((2, 2), (1, 3), (3, 0), (3, 3), (4, 2)):
+        tally = {u: [0, 0, 0] for u in enumerate_shuffle_words(m, n)}
+        for cover in bubble_covers(m, n):
+            counts = tally[cover.upper]
+            counts[0] += 1
+            counts[1 if cover.kind == KIND_INDEL else 2] += 1
+        stats = degree_statistics(m, n)
+        assert stats.keys() == tally.keys()
+        for u, counts in tally.items():
+            assert stats[u] == tuple(counts), (m, n, u)
 
 
 def test_in_degree_equals_rank_census():

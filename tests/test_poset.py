@@ -1,9 +1,12 @@
 import random
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from order_helpers import (
     NotComparable,
+    bucket_sum,
     check_order_isomorphism,
     direct_product,
     interval,
@@ -11,7 +14,7 @@ from order_helpers import (
     mobius,
 )
 from shuflat.lattices import build_shuffle_lattice
-from shuflat.poset import CycleDetected, NotGraded, build_poset
+from shuflat.poset import CycleDetected, NotGraded, build_poset, plane_put, plane_sum
 
 
 def chain(length):
@@ -178,3 +181,35 @@ def test_check_order_isomorphism():
     assert not check_order_isomorphism(p, p, [0, 0, 2])  # not a bijection
     b2 = boolean_2()
     assert not check_order_isomorphism(p, b2, [0, 1, 2])  # size mismatch
+
+
+# values around the plane boundaries: 0, +-1, powers of two and their
+# neighbours, and magnitudes above 2^64
+plane_values = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 3, -3, 2**64, -(2**64), 2**64 + 1, -(2**65) + 1]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(plane_values, max_size=40),
+    st.integers(0, 2**45 - 1),
+    st.integers(0, 5),
+)
+def test_plane_sum_matches_bucket_sum(values, mask, offset):
+    # element i holds values[i]; the planes index it from ``offset``, the
+    # first element of a rank window, and see the mask shifted to match
+    buckets = {}
+    planes = ([], [])
+    for i, value in enumerate(values):
+        if value:
+            buckets[value] = buckets.get(value, 0) | 1 << i
+        if i >= offset:
+            plane_put(planes, value, 1 << (i - offset))
+    window = mask >> offset << offset
+    assert plane_sum(planes, mask >> offset) == bucket_sum(buckets, window)
+    whole = ([], [])
+    for i, value in enumerate(values):
+        plane_put(whole, value, 1 << i)
+    assert plane_sum(whole, mask) == bucket_sum(buckets, mask)

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/trace_layers.py) re-binds named
 functions of shuflat; this checks that every name it needs still exists,
 that a traced run records the route, word, closed-form, series,
-rendering, Mobius and verify spans, and that restore() puts the
+rendering, lattice, poset, Mobius and verify spans, and that restore() puts the
 originals back."""
 
 import os
@@ -23,6 +23,9 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # brute M sums the recursion over the order relation; the one
         # Mobius row is read by brute ch
         assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
+        # brute H takes the bubble covers, brute ch builds the lattice
+        # and its Poset: the oracle workload's lattices and poset layers
+        assert cli.run(["htriangle", "2", "2", "--method", "brute"]) == 0
         # the interval route enumerates the words itself
         assert cli.run(["mtriangle", "2", "2", "--method", "interval"]) == 0
         # the closed-form routes carry the closed workload's layer metrics
@@ -45,6 +48,9 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         "triangles.mtriangle.interval",
         "words.enumerate",
         "poset.mobius_row",
+        "lattices.bubble",
+        "lattices.shuffle_build",
+        "poset.build",
         "triangles.mtriangle.formula",
         "triangles.chpoly.formula",
         "polyalg.reciprocal",

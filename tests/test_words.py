@@ -193,3 +193,27 @@ def test_interval_shape_sums():
             assert sum(shape.y_gaps) == n - shape.y_count
             assert sum(shape.x_blocks) == len(x_letters(u))
             assert shape.y_count == len(y_letters(u))
+
+
+def interval_shape_by_comprehension(u, m, n):
+    """interval_shape as first written: the chosen y-indices bound the
+    gaps, and a second walk counts the x-letters of each block."""
+    chosen = [letter.index for letter in u if letter.family == "y"]
+    k = len(chosen)
+    boundaries = [0] + chosen + [n + 1]
+    y_gaps = tuple(boundaries[j + 1] - boundaries[j] - 1 for j in range(k + 1))
+    x_blocks = [0] * (k + 1)
+    block = 0
+    for letter in u:
+        if letter.family == "y":
+            block += 1
+        else:
+            x_blocks[block] += 1
+    return (k, tuple(x_blocks), y_gaps)
+
+
+def test_interval_shape_matches_the_comprehension_form():
+    for m in range(5):
+        for n in range(5):
+            for u in enumerate_shuffle_words(m, n):
+                assert interval_shape(u, m, n) == interval_shape_by_comprehension(u, m, n), u
