@@ -335,18 +335,17 @@ class TruncatedSeries2:
         A coefficient with a negative exponent raises ValueError before
         any work.
         """
-        unpack, rows = self._packed_rows()
-        # A denominator symmetric in x and y has a symmetric reciprocal on
-        # the square where both (m, n) and (n, m) are cells, so below its
-        # diagonal a cell is the mirror cell, unpacked in an earlier row.
-        side = min(self.max_x, self.max_y) + 1
-        mirror = all(self.coeff[i][j] == self.coeff[j][i] for i in range(side) for j in range(i))
+        unpack, mirror, rows = self._packed_rows()
         coeff = []
         for m, (values, boxes) in enumerate(rows):
+            # under a mirror, a cell left of the diagonal is its mirror
+            # cell, unpacked in an earlier row
             coeff.append([
-                coeff[n][m] if mirror and n < m < side else unpack(v, box) if v else ZERO
+                coeff[n][m] if mirror and n < m else unpack(v, box) if v else ZERO
                 for n, (v, box) in enumerate(zip(values, boxes))
             ])
+        if self.max_x > self.max_y:  # the rows ran along y
+            coeff = [list(column) for column in zip(*coeff)]
         return TruncatedSeries2(self.max_x, self.max_y, coeff)
 
     def reciprocal_coefficient(self, i, j) -> BivarPoly:
@@ -360,20 +359,37 @@ class TruncatedSeries2:
         if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
             raise IndexError(f"cell ({i}, {j}) is outside the series")
         corner = TruncatedSeries2(i, j, [row[: j + 1] for row in self.coeff[: i + 1]])
-        unpack, rows = corner._packed_rows()
+        unpack, _, rows = corner._packed_rows()
         for values, boxes in rows:  # run to the last row
             pass
-        return unpack(values[j], boxes[j]) if values[j] else ZERO
+        # the rows run along the longer side, so (i, j) ends the last row
+        last = max(i, j)
+        return unpack(values[last], boxes[last]) if values[last] else ZERO
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.
 
-        Returns (unpack, rows).  ``rows`` yields, for each row m of the
-        reciprocal S in turn, (values, boxes): values[n] is S[m][n] at
-        q = 2^B, t = 2^(B*width) with B = 8*size bits, and boxes[n] the
-        (q-degree, t-degree, q-degree minus t-degree) bounds of that cell.
-        ``unpack(values[n], boxes[n])`` is the cell as a BivarPoly.  The
-        input is checked, and the bounds taken, before this returns.
+        Returns (unpack, mirror, rows).  The recurrence runs wide: its
+        rows are indexed by the shorter side of self, x unless max_x >
+        max_y, in which case they are indexed by y and cell (m, n) of a
+        row is S[n][m].  Swapping x and y is a ring map, so this is the
+        transpose of the reciprocal of the transposed series.
+        ``rows`` yields, for each row m in turn, (values, boxes):
+        values[n] is S[m][n] at q = 2^B, t = 2^(B*width) with B = 8*size
+        bits, and boxes[n] the (q-degree, t-degree, q-degree minus
+        t-degree) bounds of that cell.  ``unpack(values[n], boxes[n])``
+        is the cell as a BivarPoly.  The input is checked, and the bounds
+        taken, before this returns.
+
+        ``mirror`` says that self is symmetric on the square where both
+        (i, j) and (j, i) are cells.  Then so is S, and every row being at
+        least as long as the square, a cell (m, n) with n < m is never
+        computed.  Let band be the largest j - i over the nonconstant
+        D[i][j]: a cell within the band (m - n <= band) is the int of its
+        mirror (n, m), and the cells further left are None, as no cell
+        reads them (S[m][n] with n >= m reads S[m-i][n-j], and
+        (m - i) - (n - j) <= j - i).  Rows are kept back to the larger of
+        band and reach, the largest i over the nonconstant D[i][j].
 
         A first pass bounds every cell.  Its q-degree, its t-degree and
         the largest q-degree minus t-degree of its terms are each at most
@@ -389,11 +405,12 @@ class TruncatedSeries2:
             raise NonUnitConstantTerm(
                 f"constant coefficient is {self.coeff[0][0]}, expected 1"
             )
-        rows, cols = self.max_x + 1, self.max_y + 1
-        nonconstant = []  # (i, j, terms, q-degree, t-degree, q minus t, l1 norm)
-        for i in range(rows):
-            for j in range(cols):
-                cell = self.coeff[i][j]
+        tall = self.max_x > self.max_y
+        rows, cols = sorted((self.max_x + 1, self.max_y + 1))
+        # (i, j, terms, q-degree, t-degree, q minus t, l1 norm), (i, j) as the rows run
+        nonconstant = []
+        for i, line in enumerate(self.coeff):
+            for j, cell in enumerate(line):
                 if (i, j) == (0, 0) or not cell:
                     continue
                 terms = {(0, 0): cell} if isinstance(cell, int) else cell._terms
@@ -402,12 +419,15 @@ class TruncatedSeries2:
                         f"coefficient of x^{i} y^{j} has a negative exponent: {cell}"
                     )
                 nonconstant.append((
-                    i, j, terms,
+                    *((j, i) if tall else (i, j)), terms,
                     max(dq for dq, _ in terms),
                     max(dt for _, dt in terms),
                     max(dq - dt for dq, dt in terms),
                     sum(abs(c) for c in terms.values()),
                 ))
+        mirror = all(
+            self.coeff[i][j] == self.coeff[j][i] for i in range(rows) for j in range(i)
+        )
 
         # Bounds; a cell with norm bound 0 is zero, and its box is unread.
         boxes = [[(0, 0, 0)] * cols for _ in range(rows)]
@@ -416,6 +436,9 @@ class TruncatedSeries2:
         for m in range(rows):
             for n in range(cols):
                 if m == n == 0:
+                    continue
+                if mirror and n < m:
+                    boxes[m][n], norm[m][n] = boxes[n][m], norm[n][m]
                     continue
                 l1 = 0
                 reads = []
@@ -437,13 +460,18 @@ class TruncatedSeries2:
             for i, j, terms, _, _, _, _ in nonconstant
         ]
         reach = max((i for i, _, _ in shifts), default=0)
+        band = max((j - i for i, j, _ in shifts), default=0) if mirror else 0
+        keep = max(reach, band)
 
         def packed_rows():
             packed = []
             for m in range(rows):
-                row = [0] * cols
+                first = m if mirror else 0  # the first cell computed
+                low = max(0, first - band)
+                row = [None] * low + [packed[n][m] for n in range(low, first)]
+                row += [0] * (cols - first)
                 packed.append(row)
-                for n in range(cols):
+                for n in range(first, cols):
                     if not norm[m][n]:
                         continue
                     if m == n == 0:
@@ -462,11 +490,11 @@ class TruncatedSeries2:
                                     else:
                                         acc += c * (s << shift)
                     row[n] = acc
-                if m >= reach:
-                    packed[m - reach] = None  # no later row reads it
+                if m >= keep:
+                    packed[m - keep] = None  # no later row reads it
                 yield row, boxes[m]
 
-        return _Unpacker(size, width, (top_t + 1) * width), packed_rows()
+        return _Unpacker(size, width, (top_t + 1) * width), mirror, packed_rows()
 
 
 class _Unpacker:

@@ -113,13 +113,15 @@ def build_poset(labels, covers) -> Poset:
     Raises CycleDetected if the cover digraph is not a DAG.
     """
     n = len(labels)
-    # dict.fromkeys dedupes in order, so sorted input sorts in one pass
-    covers = sorted(dict.fromkeys([(int(a), int(b)) for a, b in covers]))
+    # dict.fromkeys dedupes in order, so sorted input sorts in one pass;
+    # the pairs are checked first, as a str among ints would not sort
+    covers = dict.fromkeys(covers)
     for a, b in covers:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"cover ({a},{b}) references a missing element")
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+            raise ValueError(f"cover ({a!r},{b!r}) references a missing element")
         if a == b:
             raise CycleDetected(f"self-cover at element {a}")
+    covers = sorted(covers)
 
     upper = [[] for _ in range(n)]
     indegree = [0] * n

@@ -142,6 +142,50 @@ def test_series_command(capsys):
     assert lines[-1] == f"(1,1): {GOLDEN_M11}"
 
 
+def test_series_renders_each_mirror_pair_once(capsys, monkeypatch):
+    from shuflat.polyalg import BivarPoly
+
+    rendered = []
+    render = BivarPoly.__str__
+
+    def counted(self):
+        rendered.append(self)
+        return render(self)
+
+    monkeypatch.setattr(BivarPoly, "__str__", counted)
+    # (M + 1)(N + 1) cells, less the k(k - 1)/2 mirror cells of the
+    # k x k square, k = min(M, N) + 1
+    for m, n, distinct in ((4, 2, 12), (2, 4, 12), (3, 3, 10)):
+        rendered.clear()
+        assert run_cli(capsys, "series", str(m), str(n))[0] == 0
+        assert len(rendered) == distinct
+
+
+def _series_oracle(m, n, as_json):
+    """`series M N` as one line per cell, each formatted on its own."""
+    series = triangles.m_series(m, n)
+    cells = [(i, j) for i in range(m + 1) for j in range(n + 1)]
+    if as_json:
+        return json.dumps({
+            "schema": cli.SCHEMA_VERSION,
+            "max_m": m,
+            "max_n": n,
+            "coefficients": [
+                {"m": i, "n": j, "terms": series.coefficient(i, j).to_json_terms()}
+                for i, j in cells
+            ],
+        }, indent=2) + "\n"
+    return "\n".join(f"({i},{j}): {series.coefficient(i, j)}" for i, j in cells) + "\n"
+
+
+def test_series_output_matches_the_per_line_oracle(capsys):
+    for m in range(7):
+        for n in range(7):
+            assert run_cli(capsys, "series", str(m), str(n))[1] == _series_oracle(m, n, False)
+            out = run_cli(capsys, "series", str(m), str(n), "--json")[1]
+            assert out == _series_oracle(m, n, True)
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "unknown-command")[0] == 2
     assert run_cli(capsys, "mtriangle", "1")[0] == 2

@@ -344,15 +344,63 @@ def test_reciprocal_rejects_negative_exponents():
         series_reciprocal({(0, 0): ONE, (1, 1): BivarPoly({(2, -1): 5})}, 1, 1)
 
 
-@SETTINGS
-@hypothesis.given(denominators())
-def test_symmetric_denominator_reciprocal_matches_recurrence_oracle(d):
-    # the reciprocal takes a symmetric denominator's cells below the
-    # diagonal from their mirrors; the oracle computes every cell
-    for i in range(min(d.max_x, d.max_y) + 1):
+@st.composite
+def symmetric_denominators(draw):
+    """A denominator symmetric on the square where both (i, j) and (j, i)
+    are cells, tall or wide.  One that is not square also has a nonzero
+    cell off the square, so the band (the largest j - i, the longer side
+    taken as j) can exceed the reach (the largest i): D[0][3] with
+    max_x = 2 has band 3."""
+    d = draw(denominators())
+    side = min(d.max_x, d.max_y) + 1
+    for i in range(side):
         for j in range(i):
             d.coeff[i][j] = d.coeff[j][i]
-    assert d.reciprocal() == reciprocal_oracle(d)
+    longer = max(d.max_x, d.max_y)
+    if longer >= side:
+        i, k = draw(st.integers(0, side - 1)), draw(st.integers(side, longer))
+        value = draw(st.one_of(sparse_polys.filter(bool), st.sampled_from([-2, -1, 1, 3])))
+        if d.max_x < d.max_y:
+            d.coeff[i][k] = value
+        else:
+            d.coeff[k][i] = value
+    return d
+
+
+BAND_ABOVE_REACH = {(0, 0): ONE, (1, 0): -ONE, (0, 1): -ONE, (0, 3): Q + T}
+
+
+@SETTINGS
+@hypothesis.given(symmetric_denominators())
+@hypothesis.example(TruncatedSeries2.from_terms(BAND_ABOVE_REACH, 2, 4))
+@hypothesis.example(
+    TruncatedSeries2.from_terms({(j, i): v for (i, j), v in BAND_ABOVE_REACH.items()}, 4, 2)
+)
+def test_symmetric_denominator_reciprocal_matches_recurrence_oracle(d):
+    # the recurrence computes a symmetric denominator's cells on one side
+    # of the diagonal only; the oracle computes every cell
+    oracle = reciprocal_oracle(d)
+    assert d.reciprocal() == oracle
+    for m in range(d.max_x + 1):
+        for n in range(d.max_y + 1):
+            assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
+
+
+def test_mirror_cells_are_made_once():
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), 8, 8)
+    _, mirror, rows = d._packed_rows()
+    assert mirror
+    band = 1  # D[1][0], D[0][1] and D[1][1]
+    made = []
+    for m, (values, _) in enumerate(rows):
+        made.append(values)
+        for n in range(m):
+            if m - n > band:
+                assert values[n] is None
+            else:
+                assert values[n] is made[n][m]
+        assert all(isinstance(v, int) for v in values[m:])
+    assert len(made) == 9
 
 
 def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
@@ -415,6 +463,7 @@ def test_series_route_unpacks_one_cell(monkeypatch, capsys):
 def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
     calls = counting_unpacks(monkeypatch)
     assert cli.run(["series", "3", "2"]) == 0
-    # the cells (m, n) with n >= m, and the row below the square
-    assert len(calls) == 6 + 3
+    # the recurrence runs along the longer side: 3 rows of 4 cells, of
+    # which the 3 left of the diagonal are mirror cells
+    assert len(calls) == 12 - 3
     capsys.readouterr()

@@ -48,6 +48,15 @@ def test_build_not_graded():
         build_poset([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
 
+def test_build_refuses_covers_that_are_not_int_pairs():
+    for covers in ([("0", 1)], [(0, 1.0)], [(0, 1), ("0", 1)], [(0, 2)]):
+        with pytest.raises(ValueError, match="references a missing element"):
+            build_poset([0, 1], covers)
+    # repeated covers are dropped, and the rest sorted
+    p = build_poset([0, 1, 2], [(1, 2), (0, 1), (1, 2)])
+    assert p.covers == ((0, 1), (1, 2))
+
+
 def test_leq():
     p = chain(1)
     assert leq(p, 0, 1)
