@@ -30,9 +30,18 @@ whole bytes, so each cell is unpacked with one to_bytes call.  A third
 bound, on the largest q-degree minus t-degree of a cell's terms (taken
 the same way), leaves out the slots of each t-row that must be empty.
 
+The recurrence runs wide, its rows along the shorter side: swapping x
+and y is a ring map, so a tall series' reciprocal is the transpose of
+the reciprocal of its transpose.  A denominator symmetric on the square
+where both (i, j) and (j, i) are cells has a reciprocal symmetric there,
+and every row is at least as long as the square, so the cells left of
+the diagonal are not computed.  With band the largest j - i over the
+nonconstant D[i][j], a cell within the band holds its mirror's int,
+which the recurrence reads, and nothing reads the cells further left.
+
 One recurrence has two readers: reciprocal() unpacks every row as it is
-done, and reciprocal_coefficient() unpacks one cell and drops the other
-rows as soon as no later row reads them.
+done, a mirror pair once, and reciprocal_coefficient() unpacks one cell
+and drops the other rows as soon as no later row reads them.
 """
 
 from __future__ import annotations

@@ -348,9 +348,9 @@ def test_reciprocal_rejects_negative_exponents():
 def symmetric_denominators(draw):
     """A denominator symmetric on the square where both (i, j) and (j, i)
     are cells, tall or wide.  One that is not square also has a nonzero
-    cell off the square, so the band (the largest j - i, the longer side
-    taken as j) can exceed the reach (the largest i): D[0][3] with
-    max_x = 2 has band 3."""
+    cell off the square, so the band (the largest j - i, with j along the
+    longer side) can exceed the reach (the largest i, along the shorter
+    side): D[0][3] with max_x = 2 has band 3."""
     d = draw(denominators())
     side = min(d.max_x, d.max_y) + 1
     for i in range(side):
