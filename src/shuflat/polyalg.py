@@ -41,7 +41,10 @@ which the recurrence reads, and nothing reads the cells further left.
 
 One recurrence has two readers: reciprocal() unpacks every row as it is
 done, a mirror pair once, and reciprocal_coefficient() unpacks one cell
-and drops the other rows as soon as no later row reads them.
+and drops the other rows as soon as no later row reads them.  The
+decoder, _Unpacker, has one more caller: identities checks the M<->H
+substitution relations at the same evaluation point and decodes both
+sides of a mismatch with it.
 """
 
 from __future__ import annotations

@@ -307,12 +307,16 @@ def h_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
 
 def h_triangle_formula(m: int, n: int) -> BivarPoly:
-    """Closed form sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a)."""
+    """Closed form sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a), the powers of
+    qt+1 read from one table made by successive products."""
     core = Q * T + 1
+    core_pow = [ONE]
+    for _ in range(m + n):
+        core_pow.append(core_pow[-1] * core)
     acc = BivarPoly()
     for a in range(min(m, n) + 1):
         c = comb(m, a) * comb(n, a)
-        acc = acc + c * Q**a * core ** (m + n - 2 * a)
+        acc = acc + c * Q**a * core_pow[m + n - 2 * a]
     return acc
 
 

@@ -5,11 +5,15 @@ lattice, [u, top] ~= prod Shuf(x_block, y_gap), structurally: the
 interval and the direct product are built as posets, and the
 block-splitting map between them is checked to be an order isomorphism.
 Each function takes the Poset it reads as its first argument.
+
+They also keep the product form of the M<->H substitution, the oracle of
+the packed-int check in ``shuflat.identities._substitution_verdict``.
 """
 
 from functools import lru_cache
 
 from shuflat.lattices import build_shuffle_lattice
+from shuflat.polyalg import ONE, Q, BivarPoly
 from shuflat.poset import Poset, _bits, build_poset
 from shuflat.words import FAMILY_X, FAMILY_Y, Letter, interval_shape, x_letters
 
@@ -182,3 +186,23 @@ def compositions(total, parts):
         for rest in compositions(total - first, parts - 1):
             out.append((first,) + rest)
     return out
+
+
+def substitution_sides(m, n, h, target, a, b, c):
+    """Both sides of a substitution relation by BivarPoly products, powers
+    read from tables: (q-1)^d target and
+    sum_ij [q^i t^j]h a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n."""
+    d = m + n
+
+    def powers(base, count):
+        out = [ONE]
+        for _ in range(count):
+            out.append(out[-1] * base)
+        return out
+
+    a_pow, c_pow = powers(a, d), powers(c, d)
+    b_pow, q1_pow = powers(b, 2 * d), powers(Q - 1, 2 * d)
+    rhs = BivarPoly()
+    for (i, j), coeff in h.terms():
+        rhs = rhs + coeff * a_pow[i] * b_pow[j] * q1_pow[d + i - j] * c_pow[d - i]
+    return q1_pow[d] * target, rhs

@@ -1,8 +1,10 @@
 from math import comb
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
-from order_helpers import compositions
+from order_helpers import compositions, substitution_sides
 from shuflat import identities, triangles
 from shuflat.identities import (
     inner_sum_lhs,
@@ -124,14 +126,19 @@ def test_verify_char_from_h():
 
 def test_relations_fail_on_a_wrong_h(monkeypatch):
     original = triangles.h_triangle_formula
-    monkeypatch.setattr(triangles, "h_triangle_formula", lambda m, n: original(m, n) + Q * T)
-    for verify in (verify_h_to_m, verify_char_from_h):
-        verdict = verify(2, 2)
-        assert not verdict.passed, verify
-        assert isinstance(verdict.lhs, BivarPoly) and isinstance(verdict.rhs, BivarPoly)
-    # the extra term q*t (i = j = 1, d = 4) adds t (q-1)^4 (1-t)^3 q to the right side
-    verdict = verify_h_to_m(2, 2)
-    assert verdict.rhs - verdict.lhs == T * (Q - 1) ** 4 * (1 - T) ** 3 * Q
+    # a coefficient of 2^70 needs slots of more than one machine word
+    for coeff in (1, 2**70):
+        monkeypatch.setattr(
+            triangles, "h_triangle_formula", lambda m, n: original(m, n) + coeff * Q * T
+        )
+        for verify in (verify_h_to_m, verify_char_from_h):
+            verdict = verify(2, 2)
+            assert not verdict.passed, verify
+            assert isinstance(verdict.lhs, BivarPoly) and isinstance(verdict.rhs, BivarPoly)
+        # the extra term q*t (i = j = 1, d = 4) adds t (q-1)^4 (1-t)^3 q to the right side
+        verdict = verify_h_to_m(2, 2)
+        assert verdict.rhs - verdict.lhs == coeff * T * (Q - 1) ** 4 * (1 - T) ** 3 * Q
+        assert verdict.lhs == (Q - 1) ** 4 * triangles.m_triangle_formula(2, 2)
 
 
 def test_relations_check_the_h_they_are_given():
@@ -172,6 +179,66 @@ def test_relations_take_the_exponents_a_power_takes(monkeypatch):
         for verify in (verify_h_to_m, verify_char_from_h):
             with pytest.raises(ValueError):
                 verify(1, 1)
+
+
+RELATIONS = (
+    ("h-to-m", triangles.m_triangle_formula, (T, Q, 1 - T)),
+    ("char-from-h", triangles.char_poly_formula, (ONE, 1 - 2 * Q, Q)),
+)
+
+
+@st.composite
+def perturbed_relation_inputs(draw):
+    # (m, n) with m + n <= 8, whether H and the target start from their
+    # formulas or from zero, and terms with coefficients up to 2^100 to add
+    # to H (inside i <= d, j <= d + i) and to the target
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8 - m))
+    d = m + n
+    coeff = st.integers(-(2**100), 2**100)
+
+    def h_term(i):
+        return st.tuples(st.just(i), st.integers(0, d + i), coeff)
+
+    h_extra = draw(st.lists(st.integers(0, d).flatmap(h_term), max_size=3))
+    target_extra = draw(
+        st.lists(st.tuples(st.integers(0, 2 * d), st.integers(0, d), coeff), max_size=2)
+    )
+    return m, n, draw(st.booleans()), draw(st.booleans()), h_extra, target_extra
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(perturbed_relation_inputs())
+def test_packed_relations_match_the_product_oracle(case):
+    m, n, h_formula, target_formula, h_extra, target_extra = case
+    h = triangles.h_triangle_formula(m, n) if h_formula else BivarPoly()
+    for i, j, c in h_extra:
+        h = h + BivarPoly.monomial(i, j, c)
+    for name, formula, subs in RELATIONS:
+        target = formula(m, n) if target_formula else BivarPoly()
+        for i, j, c in target_extra:
+            target = target + BivarPoly.monomial(i, j, c)
+        lhs, rhs = substitution_sides(m, n, h, target, *subs)
+        verdict = identities._substitution_verdict(name, m, n, h, target, *subs)
+        assert verdict.passed == (lhs == rhs), name
+        if not verdict.passed:
+            assert (verdict.lhs, verdict.rhs) == (lhs, rhs), name
+
+
+def test_relations_hold_at_larger_sizes():
+    # d = 23 or 24: several bytes per slot, and q-strides of 47 slots and more
+    for params in ((12, 12), (20, 3), (3, 20)):
+        for verify in (verify_h_to_m, verify_char_from_h):
+            verdict = verify(*params)
+            assert verdict.passed, (verify, params)
+
+
+def test_relations_refuse_a_target_with_a_negative_exponent():
+    h = triangles.h_triangle_formula(1, 1)
+    for name, formula, subs in RELATIONS:
+        target = formula(1, 1) + BivarPoly({(0, -1): 1})
+        with pytest.raises(ValueError):
+            identities._substitution_verdict(name, 1, 1, h, target, *subs)
 
 
 def test_verdict_json_shape():
