@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -135,7 +134,11 @@ def _emit(text, output):
 
 
 def _envelope(payload):
-    """The JSON text of a payload: every JSON output carries the schema."""
+    """The JSON text of a payload: every JSON output carries the schema.
+    json is imported here, the one place that uses it, so that commands
+    writing text do not load it."""
+    import json
+
     return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
 
 

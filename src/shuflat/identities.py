@@ -31,7 +31,7 @@ formula, so the routes it compares stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -122,16 +122,16 @@ def r_sum_sides(m, n, k, l):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(
+    namedtuple(
+        "IdentityVerdict",
+        "name params passed lhs rhs detail",
+        defaults=(None, None, ""),
+    )
+):
     """Outcome of one identity check; lhs/rhs carry evidence on failure."""
 
-    name: str
-    params: tuple
-    passed: bool
-    lhs: object = None
-    rhs: object = None
-    detail: str = ""
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -248,17 +248,23 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     return IdentityVerdict(name, (m, n), False, unpack(lhs, box), unpack(rhs, box))
 
 
-def verify_h_to_m(m, n) -> IdentityVerdict:
+def verify_h_to_m(m, n, h=None) -> IdentityVerdict:
     """M(q,t) = (1-t)^d H(t(q-1)/(1-t), q/(q-1)), d = m+n, times (q-1)^d:
-    (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j."""
-    h, target = triangles.h_triangle_formula(m, n), triangles.m_triangle_formula(m, n)
+    (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j.
+    ``h`` is H(m, n), by default the formula's."""
+    if h is None:
+        h = triangles.h_triangle_formula(m, n)
+    target = triangles.m_triangle_formula(m, n)
     return _substitution_verdict("h-to-m", m, n, h, target, T, Q, 1 - T)
 
 
-def verify_char_from_h(m, n) -> IdentityVerdict:
+def verify_char_from_h(m, n, h=None) -> IdentityVerdict:
     """ch(q) = q^d H((q-1)/q, (1-2q)/(q-1)), d = m+n, times (q-1)^d:
-    (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j."""
-    h, target = triangles.h_triangle_formula(m, n), triangles.char_poly_formula(m, n)
+    (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j.
+    ``h`` is H(m, n), by default the formula's."""
+    if h is None:
+        h = triangles.h_triangle_formula(m, n)
+    target = triangles.char_poly_formula(m, n)
     return _substitution_verdict("char-from-h", m, n, h, target, ONE, 1 - 2 * Q, Q)
 
 
@@ -315,12 +321,13 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
 
 def run_relations_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND):
     """Both triangle substitution relations for every (m, n) up to the
-    bounds."""
+    bounds; both read one H formula per (m, n)."""
     verdicts = []
     for m in range(max_m + 1):
         for n in range(max_n + 1):
-            verdicts.append(verify_h_to_m(m, n))
-            verdicts.append(verify_char_from_h(m, n))
+            h = triangles.h_triangle_formula(m, n)
+            verdicts.append(verify_h_to_m(m, n, h))
+            verdicts.append(verify_char_from_h(m, n, h))
     return verdicts
 
 

@@ -19,8 +19,8 @@ else of the bubble order.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .poset import Poset, build_poset
 from .words import (
@@ -35,18 +35,13 @@ KIND_INDEL = "indel"
 KIND_TRANSPOSE = "transpose"
 
 
-class BubbleCover(NamedTuple):
-    lower: tuple
-    upper: tuple
-    kind: str
+BubbleCover = namedtuple("BubbleCover", "lower upper kind")
 
 
-class DegreeTriple(NamedTuple):
+class DegreeTriple(namedtuple("DegreeTriple", "in_total in_indel in_transpose")):
     """Lower-cover counts in the bubble order, split by cover kind."""
 
-    in_total: int
-    in_indel: int
-    in_transpose: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=16)

@@ -14,8 +14,9 @@ concatenated, e.g. ``y1y2x2y3x5x6``; the empty word renders as ``e``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable
 from math import comb
-from typing import Iterable, NamedTuple
 
 FAMILY_X = "x"
 FAMILY_Y = "y"
@@ -47,15 +48,14 @@ class SizeLimitExceeded(ValueError):
         )
 
 
-class Letter(NamedTuple):
+class Letter(namedtuple("Letter", "family index")):
     """One tagged letter: family 'x' or 'y' plus a 1-based index.
 
     Tuple comparison gives the canonical letter order
     x1 < x2 < ... < y1 < y2 < ...
     """
 
-    family: str
-    index: int
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.family}{self.index}"
@@ -64,7 +64,7 @@ class Letter(NamedTuple):
 Word = tuple  # a shuffle word is a tuple of Letter
 
 
-class IntervalShape(NamedTuple):
+class IntervalShape(namedtuple("IntervalShape", "y_count x_blocks y_gaps")):
     """How a word splits the alphabets for the interval up to the top word.
 
     ``y_count`` is the number of y-letters in the word.  Those letters cut
@@ -73,9 +73,7 @@ class IntervalShape(NamedTuple):
     x-letters into blocks; ``x_blocks[i]`` is the size of block ``i``.
     """
 
-    y_count: int
-    x_blocks: tuple
-    y_gaps: tuple
+    __slots__ = ()
 
 
 def validate(letters: Iterable, m: int, n: int) -> Word:

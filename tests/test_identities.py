@@ -265,6 +265,31 @@ def test_relations_suite_small():
     assert all(v.passed for v in verdicts)
 
 
+def test_relations_suite_reads_one_h_per_pair(monkeypatch):
+    original = triangles.h_triangle_formula
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    monkeypatch.setattr(triangles, "h_triangle_formula", counted)
+    verdicts = run_relations_suite(2, 1)
+    assert calls == [(m, n) for m in range(3) for n in range(2)]
+    assert len(verdicts) == 2 * 6 and all(v.passed for v in verdicts)
+    # a wrong H read once fails both relations of every pair
+    monkeypatch.setattr(triangles, "h_triangle_formula", lambda m, n: original(m, n) + 1)
+    assert not any(v.passed for v in run_relations_suite(2, 1))
+
+
+def test_relations_take_h_as_an_argument():
+    h = triangles.h_triangle_formula(2, 1)
+    for verify in (verify_h_to_m, verify_char_from_h):
+        assert verify(2, 1, h) == verify(2, 1)
+        assert verify(2, 1, h).passed
+        assert not verify(2, 1, h + Q * T).passed, verify
+
+
 def test_methods_suite_small():
     verdicts = run_methods_suite(2, 2, series_max=3)
     assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
