@@ -6,7 +6,7 @@ import pytest
 from shuflat.identities import IdentityVerdict
 from shuflat.lattices import KIND_INDEL, BubbleCover, DegreeTriple
 from shuflat.polyalg import Q, T
-from shuflat.words import IntervalShape, Letter, interval_shape, parse_word
+from shuflat.words import IntervalShape, Letter, parse_word
 
 RECORDS = [
     (Letter("x", 1), ("family", "index")),
@@ -40,11 +40,6 @@ def test_letter_text_and_order():
         Letter("x", 2),
         Letter("y", 1),
     ]
-
-
-def test_interval_shape_fields():
-    shape = interval_shape(parse_word("x1y2"), 1, 2)
-    assert shape == IntervalShape(y_count=1, x_blocks=(1, 0), y_gaps=(1, 0))
 
 
 def test_verdict_defaults_and_repr():
