@@ -160,8 +160,9 @@ def _first_failure(name, params, cases):
 
 
 def _extent(terms):
-    """(q-degree, t-degree, l1 norm) of a polynomial given by its term list,
-    zeros for the zero polynomial; a negative exponent raises ValueError."""
+    """(q-degree, t-degree, l1 norm) of a polynomial given by its
+    ((dq, dt), coeff) pairs in any order, zeros for the zero polynomial; a
+    negative exponent raises ValueError."""
     for (dq, dt), _ in terms:
         if dq < 0 or dt < 0:
             raise ValueError(f"term q^{dq}*t^{dt} has a negative exponent")
@@ -191,12 +192,12 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     so that a mismatch is decoded into both sides by polyalg's unpacker.
     """
     d = m + n
-    terms = h.terms()
+    terms = h._terms.items()  # the bounds and rows below need no term order
     for (i, j), _ in terms:
         if not (0 <= i <= d and 0 <= j <= d + i):
             raise ValueError(f"H term q^{i}*t^{j} needs a negative power at d = {d}")
-    (aq, at, a1), (bq, bt, b1), (cq, ct, c1) = (_extent(p.terms()) for p in (a, b, c))
-    target_terms = target.terms()
+    (aq, at, a1), (bq, bt, b1), (cq, ct, c1) = (_extent(p._terms.items()) for p in (a, b, c))
+    target_terms = target._terms.items()
     tq, tt, t1 = _extent(target_terms)
     top_q = max([d + tq] + [i * aq + j * bq + d + i - j + (d - i) * cq for (i, j), _ in terms])
     top_t = max([tt] + [i * at + j * bt + (d - i) * ct for (i, j), _ in terms])
@@ -210,7 +211,7 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     slot_count = (top_t + 1) * width
 
     def shifts(poly):
-        return [(bits * (dq + dt * width), k) for (dq, dt), k in poly.terms()]
+        return [(bits * (dq + dt * width), k) for (dq, dt), k in poly._terms.items()]
 
     def times(value, poly_shifts):
         # value times a packed polynomial, one shift-add per term: linear in

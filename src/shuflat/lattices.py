@@ -13,8 +13,9 @@ two kinds:
   an x-letter that is last or followed by another x-letter, or insert a
   y-letter so that it is last or immediately precedes another y-letter.
 
-Only the cover set is materialized here; the H-triangle needs nothing
-else of the bubble order.
+Only the covers are computed here, never the bubble order itself.  The
+H-triangle needs only each word's count of lower covers by kind, which
+``degree_statistics`` reads off the word.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .words import (
     FAMILY_X,
     FAMILY_Y,
     DEFAULT_SIZE_CAP,
-    Letter,
     enumerate_shuffle_words,
+    letters,
 )
 
 KIND_INDEL = "indel"
@@ -46,9 +47,10 @@ class DegreeTriple(namedtuple("DegreeTriple", "in_total in_indel in_transpose"))
 
 @lru_cache(maxsize=16)
 def _y_words(n):
-    """The one-letter words (y_j,) at index j, for j = 0..n+1.  y_(n+1)
-    closes the last gap of absent y-indices; nothing inserts it or y_0."""
-    return tuple((Letter(FAMILY_Y, j),) for j in range(n + 2))
+    """The one-letter words (y_j,) at index j, for j = 0..n+1, holding the
+    shared letters of ``words.letters``.  y_(n+1) closes the last gap of
+    absent y-indices; nothing inserts it or y_0."""
+    return tuple((y,) for y in letters(FAMILY_Y, n))
 
 
 def indel_successors(u, m, n):
@@ -126,13 +128,30 @@ def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
 
 
 def degree_statistics(m, n, size_cap=DEFAULT_SIZE_CAP):
-    """Per-word lower-cover counts in the bubble order, split by kind."""
-    listing = enumerate_shuffle_words(m, n, size_cap)
-    counts = {w: [0, 0] for w in listing}
-    for u in listing:
-        for upper, kind in _bubble_covers_above(u, m, n):
-            counts[upper][0 if kind == KIND_INDEL else 1] += 1
-    return {
-        w: DegreeTriple(indel + transpose, indel, transpose)
-        for w, (indel, transpose) in counts.items()
-    }
+    """Per-word lower-cover counts in the bubble order, split by kind, in
+    enumeration order.  One scan of each word counts its lower covers:
+
+    * a transposition below w for each adjacent pair y_j x_i: swapping it
+      back gives the lower word, with x_i y_j in its place;
+    * a right deletion below w for each of the m - #x(w) absent x-letters:
+      x_i goes back between the present x-letters below and above i, and
+      of those slots only the last, directly before the smallest present
+      x-letter above i (or at the end), is not followed by a y-letter;
+    * a right insertion below w for each y-letter of w that is last or
+      directly followed by a y-letter: deleting it undoes the insertion.
+    """
+    out = {}
+    for w in enumerate_shuffle_words(m, n, size_cap):
+        n_x = transpose = insert = 0
+        follower = FAMILY_Y  # the family after the letter; the end acts as y
+        for letter in reversed(w):
+            if letter.family == FAMILY_X:
+                n_x += 1
+            elif follower == FAMILY_X:
+                transpose += 1
+            else:
+                insert += 1
+            follower = letter.family
+        indel = m - n_x + insert
+        out[w] = DegreeTriple(indel + transpose, indel, transpose)
+    return out

@@ -112,9 +112,6 @@ class BivarPoly:
         """Term list [((deg_q, deg_t), coeff)] in canonical order."""
         return [((dq, dt), c) for _, dt, dq, c in _ordered(self._terms)]
 
-    def is_zero(self):
-        return not self._terms
-
     def coefficient(self, dq, dt):
         return self._terms.get((dq, dt), 0)
 

@@ -13,8 +13,8 @@ Routes implemented:
 * brute force over the lattice: one Mobius row for ch, the summed
   Mobius recursion over the order relation for M (see m_triangle_brute;
   it builds no Poset, only down-sets closed from the indel covers in
-  rank order, and checks the grading itself), the bubble cover census
-  for H;
+  rank order, and checks the grading itself), and for H the census of
+  bubble lower covers, which each word's letters give by kind;
 * the interval decomposition: M(q,t) = sum over words u of
   (qt)^rank(u) times the product of factor characteristic polynomials
   in t given by the interval shape of u, made once per class of words
@@ -298,7 +298,8 @@ def adjudicate_series_cross_term(max_m=2, max_n=2):
 
 
 def h_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
-    """Census sum of q^in(u) t^in_indel(u) over the bubble covers."""
+    """Census sum of q^in(u) t^in_indel(u) over the words, the exponents
+    read from each word's bubble lower covers (``degree_statistics``)."""
     terms = {}
     for triple in degree_statistics(m, n, size_cap).values():
         key = (triple.in_total, triple.in_indel)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 from math import comb
 
 FAMILY_X = "x"
@@ -38,13 +39,17 @@ class IndexOutOfRange(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """Predicted enumeration size exceeds the configured cap."""
+    """Predicted enumeration size exceeds the configured cap.
 
-    def __init__(self, predicted, cap):
+    ``predicted`` is the word count, or None when a lower bound refused
+    the size; ``count_text`` then says what the bound is."""
+
+    def __init__(self, predicted, cap, count_text=None):
         self.predicted = predicted
         self.cap = cap
         super().__init__(
-            f"enumeration would produce {predicted} words, above the cap of {cap}"
+            f"enumeration would produce {count_text or predicted} words,"
+            f" above the cap of {cap}"
         )
 
 
@@ -62,6 +67,16 @@ class Letter(namedtuple("Letter", "family index")):
 
 
 Word = tuple  # a shuffle word is a tuple of Letter
+
+
+@lru_cache(maxsize=None)
+def letters(family, count):
+    """The shared letters of a family of ``count`` letters, at their index:
+    ``letters(family, count)[i]`` is ``Letter(family, i)`` for i = 0..count+1.
+    Index 0 and count+1 are not letters of any word; they bound the gaps
+    of absent indices.  Words built from these tables hold the same
+    objects, so tuple comparison of such words meets identical letters."""
+    return tuple(Letter(family, i) for i in range(count + 2))
 
 
 class IntervalShape(namedtuple("IntervalShape", "y_count x_blocks y_gaps")):
@@ -112,7 +127,14 @@ def shuffle_word_count(m: int, n: int) -> int:
 
 
 def check_size(m, n, cap):
-    """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words."""
+    """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words.
+
+    The a = 0 term of the count alone is 2^(m+n).  When that is more than
+    2^64 times the cap, the size is refused on the bound: the exact count
+    costs time and digits that grow with m + n (at (99999999, 1) it takes
+    a second and has more digits than ``str`` of an int may print)."""
+    if m + n > cap.bit_length() + 64:
+        raise SizeLimitExceeded(None, cap, f"at least 2^{m + n}")
     predicted = shuffle_word_count(m, n)
     if predicted > cap:
         raise SizeLimitExceeded(predicted, cap)
@@ -125,21 +147,22 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     walk appends each word before its extensions and tries the letters
     in that order, so it emits the words in lexicographic order; a
     stable sort by length alone keeps that order within each length.
-    Raises SizeLimitExceeded when the predicted count is above
-    ``size_cap``.
+    Every letter is the shared object of ``letters``.  Raises
+    SizeLimitExceeded when the predicted count is above ``size_cap``.
     """
     check_size(m, n, size_cap)
+    xs, ys = letters(FAMILY_X, m), letters(FAMILY_Y, n)
     out = []
     stack = []
 
     def extend(min_x, min_y):
         out.append(tuple(stack))
         for i in range(min_x, m + 1):
-            stack.append(Letter(FAMILY_X, i))
+            stack.append(xs[i])
             extend(i + 1, min_y)
             stack.pop()
         for j in range(min_y, n + 1):
-            stack.append(Letter(FAMILY_Y, j))
+            stack.append(ys[j])
             extend(min_x, j + 1)
             stack.pop()
 

@@ -7,15 +7,29 @@ block-splitting map between them is checked to be an order isomorphism.
 Each function takes the Poset it reads as its first argument.
 
 They also keep the product form of the M<->H substitution, the oracle of
-the packed-int check in ``shuflat.identities._substitution_verdict``.
+the packed-int check in ``shuflat.identities._substitution_verdict``, and
+the upper-cover census of the bubble order, the oracle of the per-word
+lower-cover counts in ``shuflat.lattices.degree_statistics``.
 """
 
 from functools import lru_cache
 
-from shuflat.lattices import build_shuffle_lattice
+from shuflat.lattices import (
+    KIND_INDEL,
+    DegreeTriple,
+    _bubble_covers_above,
+    build_shuffle_lattice,
+)
 from shuflat.polyalg import ONE, Q, BivarPoly
 from shuflat.poset import Poset, _bits, build_poset
-from shuflat.words import FAMILY_X, FAMILY_Y, Letter, interval_shape, x_letters
+from shuflat.words import (
+    FAMILY_X,
+    FAMILY_Y,
+    Letter,
+    enumerate_shuffle_words,
+    interval_shape,
+    x_letters,
+)
 
 
 def bucket_sum(buckets, mask: int) -> int:
@@ -206,3 +220,18 @@ def substitution_sides(m, n, h, target, a, b, c):
     for (i, j), coeff in h.terms():
         rhs = rhs + coeff * a_pow[i] * b_pow[j] * q1_pow[d + i - j] * c_pow[d - i]
     return q1_pow[d] * target, rhs
+
+
+def upper_cover_census(m, n):
+    """{word: DegreeTriple} in enumeration order, tallied by pushing every
+    word's bubble upper covers into a dict keyed by the upper word: each
+    word's lower covers counted from the covers above the other words."""
+    listing = enumerate_shuffle_words(m, n)
+    counts = {w: [0, 0] for w in listing}
+    for u in listing:
+        for upper, kind in _bubble_covers_above(u, m, n):
+            counts[upper][0 if kind == KIND_INDEL else 1] += 1
+    return {
+        w: DegreeTriple(indel + transpose, indel, transpose)
+        for w, (indel, transpose) in counts.items()
+    }

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from shuflat import cli, identities, triangles
+from shuflat import cli, identities, triangles, words
 from shuflat.poset import NotGraded
 
 GOLDEN_M11 = "q^2*t^2 - 3*q*t^2 + 2*t^2 + 3*q*t - 3*t + 1"
@@ -200,6 +200,17 @@ def test_size_cap_refusal(capsys):
     # --force lifts the brute cap (interval method keeps it fast)
     code, out, _ = run_cli(capsys, "mtriangle", "5", "5", "--method", "interval", "--force")
     assert code == 0
+
+
+def test_huge_enumeration_is_refused_before_any_work(capsys, monkeypatch):
+    # the size check comes before the letter tables are built
+    def refuse(family, count):
+        raise AssertionError("letter table built")
+
+    monkeypatch.setattr(words, "letters", refuse)
+    code, out, err = run_cli(capsys, "enumerate", "99999999", "1")
+    assert (code, out) == (3, "")
+    assert "above the cap" in err
 
 
 def test_size_cap_env_override(capsys, monkeypatch):

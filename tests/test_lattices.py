@@ -2,7 +2,12 @@ from math import comb
 
 import pytest
 
-from order_helpers import interval_decomposition_map, interval_is_product, mobius
+from order_helpers import (
+    interval_decomposition_map,
+    interval_is_product,
+    mobius,
+    upper_cover_census,
+)
 from shuflat.lattices import (
     KIND_INDEL,
     KIND_TRANSPOSE,
@@ -154,6 +159,18 @@ def test_degree_statistics_word_by_word():
         assert stats.keys() == tally.keys()
         for u, counts in tally.items():
             assert stats[u] == tuple(counts), (m, n, u)
+
+
+def test_degree_statistics_matches_the_upper_cover_census():
+    # each word's own lower covers against the covers pushed up from the
+    # words below it, word by word and in enumeration order
+    for m in range(9):
+        for n in range(9 - m):
+            stats = degree_statistics(m, n)
+            census = upper_cover_census(m, n)
+            assert list(stats) == list(census), (m, n)
+            for u, triple in census.items():
+                assert stats[u] == triple, (m, n, u)
 
 
 def test_in_degree_equals_rank_census():

@@ -304,6 +304,22 @@ def test_h_triangle_methods_agree():
             assert h_triangle_brute(m, n) == h_triangle_formula(m, n)
 
 
+def test_h_triangle_brute_matches_the_formula_to_5_5():
+    for m in range(6):
+        for n in range(6):
+            assert h_triangle_brute(m, n, size_cap=20000) == h_triangle_formula(m, n), (m, n)
+
+
+def test_h_triangle_brute_reads_no_upper_covers(monkeypatch):
+    # the census counts each word's own lower covers; it never walks the
+    # covers above the words
+    def refuse(u, m, n):
+        raise AssertionError("upper covers walked")
+
+    monkeypatch.setattr(lattices, "_bubble_covers_above", refuse)
+    assert h_triangle_brute(3, 3) == h_triangle_formula(3, 3)
+
+
 def test_h_rank_generating_specialization():
     for m, n in ((2, 2), (1, 3), (3, 2)):
         assert h_triangle_brute(m, n).subs_t(1) == rank_generating_poly(m, n)

@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from shuflat.lattices import indel_successors
 from shuflat.words import (
     DuplicateLetter,
     IndexOutOfRange,
@@ -12,6 +13,7 @@ from shuflat.words import (
     enumerate_shuffle_words,
     format_word,
     interval_shape,
+    letters,
     parse_word,
     rank,
     shuffle_word_count,
@@ -148,6 +150,35 @@ def test_enumerate_size_cap():
         enumerate_shuffle_words(3, 3, size_cap=100)
     assert err.value.predicted == shuffle_word_count(3, 3)
     assert "245" in str(err.value)
+
+
+def test_huge_sizes_are_refused_on_the_power_of_two_bound():
+    # 2^(m+n) words at least; far above the cap the exact count, with its
+    # millions of digits, is never made
+    with pytest.raises(SizeLimitExceeded) as err:
+        enumerate_shuffle_words(99999999, 1)
+    assert err.value.predicted is None
+    assert str(err.value) == (
+        "enumeration would produce at least 2^100000000 words, above the cap of 1000000"
+    )
+    # within 64 bits of the cap the refusal still names the exact count
+    with pytest.raises(SizeLimitExceeded) as err:
+        enumerate_shuffle_words(40, 44, size_cap=2**20)
+    assert err.value.predicted == shuffle_word_count(40, 44)
+
+
+def test_words_share_one_letter_object_per_letter():
+    # the enumeration and the successor words hold the objects of the
+    # letter tables, so equal letters compare by identity
+    m, n = 3, 2
+    tables = {"x": letters("x", m), "y": letters("y", n)}
+    assert [str(x) for x in tables["x"]] == ["x0", "x1", "x2", "x3", "x4"]
+    assert [str(y) for y in tables["y"]] == ["y0", "y1", "y2", "y3"]
+    listing = enumerate_shuffle_words(m, n)
+    successors = [v for u in listing for v in indel_successors(u, m, n)]
+    for word in listing + successors:
+        for letter in word:
+            assert letter is tables[letter.family][letter.index], word
 
 
 def test_everything_enumerated_validates():
