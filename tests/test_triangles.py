@@ -299,12 +299,6 @@ def test_h_triangle_counts_words():
 
 
 def test_h_triangle_methods_agree():
-    for m in range(4):
-        for n in range(4):
-            assert h_triangle_brute(m, n) == h_triangle_formula(m, n)
-
-
-def test_h_triangle_brute_matches_the_formula_to_5_5():
     for m in range(6):
         for n in range(6):
             assert h_triangle_brute(m, n, size_cap=20000) == h_triangle_formula(m, n), (m, n)

@@ -150,9 +150,6 @@ def test_enumerate_size_cap():
         enumerate_shuffle_words(3, 3, size_cap=100)
     assert err.value.predicted == shuffle_word_count(3, 3)
     assert "245" in str(err.value)
-
-
-def test_huge_sizes_are_refused_on_the_power_of_two_bound():
     # 2^(m+n) words at least; far above the cap the exact count, with its
     # millions of digits, is never made
     with pytest.raises(SizeLimitExceeded) as err:
