@@ -18,15 +18,12 @@ The two substitution relations tie the triangles together:
     ch(q)   = q^(m+n) H((q-1)/q, (1-2q)/(q-1))
 
 Multiplied by (q-1)^(m+n), both sides of each relation are polynomials,
-and one function checks each as an exact polynomial equality.  It
-evaluates both sides at q = 2^B, t = 2^(B*W), a ring homomorphism from
-Z[q, t] to Z, so each side is one int.  The map is injective on the
-polynomials whose q-degrees are below W and whose coefficients are below
-2^(B-1) in absolute value, and W and B are set from degree and norm
-bounds on both sides before any product: equal ints then mean equal
-polynomials.  A mismatch is decoded into both sides by polyalg's
-unpacker.  The check reads the homomorphism and the bounds only, never a
-formula, so the routes it compares stay independent.
+and one function checks each as an exact polynomial equality: both
+sides are evaluated in one polyalg._Slots layout, set from degree and
+norm bounds on both sides before any product, so equal ints mean equal
+polynomials, and a mismatch decodes back to both sides.  The check
+reads the evaluation and the bounds only, never a formula, so the
+routes it compares stay independent.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from . import triangles
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _Unpacker
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _extent, _shift_add, _Slots
 from .words import check_size
 
 #: Default bound of the identity and relation checks, and of the
@@ -159,46 +156,27 @@ def _first_failure(name, params, cases):
     return IdentityVerdict(name, params, True)
 
 
-def _extent(terms):
-    """(q-degree, t-degree, l1 norm) of a polynomial given by its
-    ((dq, dt), coeff) pairs in any order, zeros for the zero polynomial; a
-    negative exponent raises ValueError."""
-    for (dq, dt), _ in terms:
-        if dq < 0 or dt < 0:
-            raise ValueError(f"term q^{dq}*t^{dt} has a negative exponent")
-    return (
-        max((dq for (dq, _), _ in terms), default=0),
-        max((dt for (_, dt), _ in terms), default=0),
-        sum(abs(c) for _, c in terms),
-    )
-
-
 def _substitution_verdict(name, m, n, h, target, a, b, c):
     """(q-1)^d target against sum_ij [q^i t^j]h a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n,
     for the H-triangle ``h`` of Shuf(m, n); a term of h outside i <= d,
     j <= d+i, or a negative exponent in target, a, b or c, raises ValueError.
 
-    Both sides are evaluated at q = 2^B, t = 2^(B*W), a ring homomorphism
-    from Z[q, t] to Z, so each side is one int.  The map is injective on
-    the polynomials whose q-degrees are below W and whose coefficients are
-    below 2^(B-1) in absolute value (polyalg's slot layout), so equal ints
-    mean equal sides once both lie there.  Both bounds are taken before
-    any product.  The q-degree of a side is at most that of its largest
-    term: i*deg_q(a) + j*deg_q(b) + d+i-j + (d-i)*deg_q(c) on the right,
-    d + deg_q(target) on the left.  Its coefficients are at most its l1
-    norm, at most sum |h_ij| |a|^i |b|^j 2^(d+i-j) |c|^(d-i) on the right
-    and 2^d |target| on the left.  W is the larger q-degree bound plus 1,
-    and B is bit_length(larger norm bound) + 1 rounded up to whole bytes,
-    so that a mismatch is decoded into both sides by polyalg's unpacker.
+    Both sides are compared as their ints in one _Slots layout, whose
+    bounds are taken before any product.  The q-degree of a side is at
+    most that of its largest term: i*deg_q(a) + j*deg_q(b) + d+i-j +
+    (d-i)*deg_q(c) on the right, d + deg_q(target) on the left, and
+    likewise for the t-degree without the (q-1) powers.  Its
+    coefficients are at most its l1 norm, at most sum |h_ij| |a|^i |b|^j
+    2^(d+i-j) |c|^(d-i) on the right and 2^d |target| on the left.
     """
     d = m + n
     terms = h._terms.items()  # the bounds and rows below need no term order
     for (i, j), _ in terms:
         if not (0 <= i <= d and 0 <= j <= d + i):
             raise ValueError(f"H term q^{i}*t^{j} needs a negative power at d = {d}")
-    (aq, at, a1), (bq, bt, b1), (cq, ct, c1) = (_extent(p._terms.items()) for p in (a, b, c))
-    target_terms = target._terms.items()
-    tq, tt, t1 = _extent(target_terms)
+    (aq, at, _, a1), (bq, bt, _, b1), (cq, ct, _, c1), (tq, tt, _, t1) = (
+        _extent(p._terms) for p in (a, b, c, target)
+    )
     top_q = max([d + tq] + [i * aq + j * bq + d + i - j + (d - i) * cq for (i, j), _ in terms])
     top_t = max([tt] + [i * at + j * bt + (d - i) * ct for (i, j), _ in terms])
     a1_pow, c1_pow, b1_pow = _powers(1, a1, d), _powers(1, c1, d), _powers(1, b1, 2 * d)
@@ -206,20 +184,11 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
         t1 << d,
         sum(abs(k) * a1_pow[i] * b1_pow[j] * c1_pow[d - i] << d + i - j for (i, j), k in terms),
     )
-    size = (norm.bit_length() + 8) // 8  # bytes per slot
-    bits, width = 8 * size, top_q + 1
-    slot_count = (top_t + 1) * width
+    slots = _Slots(norm, top_q, top_t)
 
-    def shifts(poly):
-        return [(bits * (dq + dt * width), k) for (dq, dt), k in poly._terms.items()]
-
-    def times(value, poly_shifts):
-        # value times a packed polynomial, one shift-add per term: linear in
-        # the size of value, where an int product with a wide factor is not
-        return sum(k * (value << shift) for shift, k in poly_shifts)
-
-    b_packed, q1_pow = times(1, shifts(b)), _powers(1, (1 << bits) - 1, 2 * d)
-    a_pow, c_shifts = [shifts(p) for p in _powers(ONE, a, d)], shifts(c)
+    b_value = _shift_add(0, 1, slots.shifts(b._terms))
+    q1_pow = _powers(1, _shift_add(-1, 1, slots.shifts(Q._terms)), 2 * d)  # powers of q - 1
+    a_pow, c_shifts = [slots.shifts(p._terms) for p in _powers(ONE, a, d)], slots.shifts(c._terms)
     rows = [{} for _ in range(d + 1)]  # rows[i][j] = [q^i t^j]h
     for (i, j), k in terms:
         rows[i][j] = k
@@ -229,24 +198,13 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     for i, row in enumerate(rows):
         acc = 0
         for j in range(max(row, default=0), -1, -1):
-            acc = acc * b_packed + row.get(j, 0) * q1_pow[d + i - j]
-        rhs = times(rhs, c_shifts) + times(acc, a_pow[i])
-
-    # the target in one pass over its slot bytes: each slot holds its
-    # coefficient plus 2^(B-1), as the unpacker reads it, and the bias is
-    # taken off at the end (shift-adds would copy the growing sum per term)
-    offset = 1 << bits - 1
-    slots = bytearray(offset.to_bytes(size, "little") * slot_count)
-    bias = int.from_bytes(slots, "little")
-    for (dq, dt), k in target_terms:
-        start = (dq + dt * width) * size
-        slots[start : start + size] = (k + offset).to_bytes(size, "little")
-    lhs = q1_pow[d] * (int.from_bytes(slots, "little") - bias)
+            acc = acc * b_value + row.get(j, 0) * q1_pow[d + i - j]
+        rhs = _shift_add(_shift_add(0, rhs, c_shifts), acc, a_pow[i])
+    lhs = q1_pow[d] * slots.pack(target._terms)
     if lhs == rhs:
         return IdentityVerdict(name, (m, n), True)
-    unpack = _Unpacker(size, width, slot_count)
     box = (top_q, top_t, top_q)
-    return IdentityVerdict(name, (m, n), False, unpack(lhs, box), unpack(rhs, box))
+    return IdentityVerdict(name, (m, n), False, slots.decode(lhs, box), slots.decode(rhs, box))
 
 
 def verify_h_to_m(m, n, h=None) -> IdentityVerdict:

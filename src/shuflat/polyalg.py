@@ -13,22 +13,12 @@ indexed by the (x, y) degrees.  Its reciprocal is computed by the
 triangular recurrence and is the workhorse for extracting polynomial
 families from rational generating functions.
 
-The reciprocal runs that recurrence on plain ints.  Evaluation at
-q = 2^B, t = 2^(B*W) is a ring homomorphism from Z[q, t] to Z, so the
-values of the cells obey the same recurrence, and multiplying a value
-by the term c*q^a*t^b is one shift-add, c * (v << B*(a + b*W)).  The
-map is injective on the polynomials whose q-degrees are below W and
-whose coefficients are below 2^(B-1) in absolute value: after adding
-2^(B-1) to every B-bit slot, slot a + b*W holds the coefficient of
-q^a t^b plus 2^(B-1), with no carry between slots.  Both conditions are
-met by bounds taken before the recurrence: the q-degree of a cell is at
-most the largest q-degree of D[i][j] plus that of S[m-i][n-j] over the
-terms of the recurrence, and likewise for t, and its l1 norm is at most
-the sum of |D[i][j]|_1 * |S[m-i][n-j]|_1.  W is the largest q-degree
-bound plus 1, and B is bit_length(largest norm bound) + 1 rounded up to
-whole bytes, so each cell is unpacked with one to_bytes call.  A third
-bound, on the largest q-degree minus t-degree of a cell's terms (taken
-the same way), leaves out the slots of each t-row that must be empty.
+The reciprocal runs that recurrence on plain ints: every cell is replaced
+by its value at one evaluation point, whose slot layout _Slots states.
+Degree and norm bounds on every cell, taken before the recurrence, set
+the layout, so each value decodes back to its cell.  A third bound, on
+the largest q-degree minus t-degree of a cell's terms, leaves out the
+slots of each t-row that must be empty.
 
 The recurrence runs wide, its rows along the shorter side: swapping x
 and y is a ring map, so a tall series' reciprocal is the transpose of
@@ -39,12 +29,10 @@ the diagonal are not computed.  With band the largest j - i over the
 nonconstant D[i][j], a cell within the band holds its mirror's int,
 which the recurrence reads, and nothing reads the cells further left.
 
-One recurrence has two readers: reciprocal() unpacks every row as it is
-done, a mirror pair once, and reciprocal_coefficient() unpacks one cell
-and drops the other rows as soon as no later row reads them.  The
-decoder, _Unpacker, has one more caller: identities checks the M<->H
-substitution relations at the same evaluation point and decodes both
-sides of a mismatch with it.
+One recurrence has two readers: reciprocal() decodes every row as it is
+done, a mirror pair once, and reciprocal_coefficient() decodes one cell
+and drops the other rows as soon as no later row reads them.
+identities checks the M<->H substitution relations in the same layout.
 """
 
 from __future__ import annotations
@@ -92,8 +80,10 @@ class BivarPoly:
         clean = {}
         if terms:
             for (dq, dt), coeff in terms.items():
+                if type(dq) is not int or type(dt) is not int:
+                    raise ValueError(f"exponents must be ints, got {(dq, dt)!r}")
                 if coeff:
-                    clean[(int(dq), int(dt))] = coeff
+                    clean[dq, dt] = coeff
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -334,9 +324,9 @@ class TruncatedSeries2:
 
         S[m][n] is [m = n = 0] minus the sum of D[i][j] * S[m-i][n-j]
         over the nonconstant coefficients D[i][j] of self.  The recurrence
-        runs on packed ints (see _packed_rows and the module docstring),
-        and each row is unpacked as soon as it is done; the packed ints of
-        a row are dropped once no later row reads them.
+        runs on packed ints (see _packed_rows and _Slots), and each row is
+        decoded as soon as it is done; the packed ints of a row are
+        dropped once no later row reads them.
 
         Input contract: the constant coefficient must be exactly 1
         (else NonUnitConstantTerm).  The other cells are BivarPoly with
@@ -344,13 +334,13 @@ class TruncatedSeries2:
         A coefficient with a negative exponent raises ValueError before
         any work.
         """
-        unpack, mirror, rows = self._packed_rows()
+        decode, mirror, rows = self._packed_rows()
         coeff = []
         for m, (values, boxes) in enumerate(rows):
             # under a mirror, a cell left of the diagonal is its mirror
-            # cell, unpacked in an earlier row
+            # cell, decoded in an earlier row
             coeff.append([
-                coeff[n][m] if mirror and n < m else unpack(v, box) if v else ZERO
+                coeff[n][m] if mirror and n < m else decode(v, box) if v else ZERO
                 for n, (v, box) in enumerate(zip(values, boxes))
             ])
         if self.max_x > self.max_y:  # the rows ran along y
@@ -358,37 +348,37 @@ class TruncatedSeries2:
         return TruncatedSeries2(self.max_x, self.max_y, coeff)
 
     def reciprocal_coefficient(self, i, j) -> BivarPoly:
-        """reciprocal().coefficient(i, j), with only that cell unpacked.
+        """reciprocal().coefficient(i, j), with only that cell decoded.
 
         S[i][j] reads the cells of self up to (i, j) alone, so the
         recurrence runs on that corner, keeps only the rows still in
-        reach and unpacks one cell of the last.  The input contract is
+        reach and decodes one cell of the last.  The input contract is
         that of reciprocal(), on the corner.
         """
         if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
             raise IndexError(f"cell ({i}, {j}) is outside the series")
         corner = TruncatedSeries2(i, j, [row[: j + 1] for row in self.coeff[: i + 1]])
-        unpack, _, rows = corner._packed_rows()
+        decode, _, rows = corner._packed_rows()
         for values, boxes in rows:  # run to the last row
             pass
         # the rows run along the longer side, so (i, j) ends the last row
         last = max(i, j)
-        return unpack(values[last], boxes[last]) if values[last] else ZERO
+        return decode(values[last], boxes[last]) if values[last] else ZERO
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.
 
-        Returns (unpack, mirror, rows).  The recurrence runs wide: its
+        Returns (decode, mirror, rows).  The recurrence runs wide: its
         rows are indexed by the shorter side of self, x unless max_x >
         max_y, in which case they are indexed by y and cell (m, n) of a
         row is S[n][m].  Swapping x and y is a ring map, so this is the
         transpose of the reciprocal of the transposed series.
         ``rows`` yields, for each row m in turn, (values, boxes):
-        values[n] is S[m][n] at q = 2^B, t = 2^(B*width) with B = 8*size
-        bits, and boxes[n] the (q-degree, t-degree, q-degree minus
-        t-degree) bounds of that cell.  ``unpack(values[n], boxes[n])``
-        is the cell as a BivarPoly.  The input is checked, and the bounds
-        taken, before this returns.
+        values[n] is S[m][n] packed in one _Slots layout, and boxes[n]
+        the (q-degree, t-degree, q-degree minus t-degree) bounds of that
+        cell.  ``decode(values[n], boxes[n])`` is the cell as a
+        BivarPoly.  The input is checked, and the bounds taken, before
+        this returns.
 
         ``mirror`` says that self is symmetric on the square where both
         (i, j) and (j, i) are cells.  Then so is S, and every row being at
@@ -404,11 +394,8 @@ class TruncatedSeries2:
         the largest q-degree minus t-degree of its terms are each at most
         the largest, over the terms of the recurrence, of that of D[i][j]
         plus that of S[m-i][n-j]; its l1 norm is at most the sum of
-        |D[i][j]|_1 * |S[m-i][n-j]|_1.  The q-stride width is the largest
-        q-degree bound plus 1, and size is
-        ceil((bit_length(largest norm bound) + 1) / 8), so every
-        coefficient is below 2^(B-1) in absolute value.  Each
-        D[i][j] * S is one shift-add per term of D[i][j].
+        |D[i][j]|_1 * |S[m-i][n-j]|_1.  The largest of each bound sets the
+        layout, and each D[i][j] * S is one shift-add per term of D[i][j].
         """
         if self.coeff[0][0] != ONE:
             raise NonUnitConstantTerm(
@@ -423,17 +410,7 @@ class TruncatedSeries2:
                 if (i, j) == (0, 0) or not cell:
                     continue
                 terms = {(0, 0): cell} if isinstance(cell, int) else cell._terms
-                if any(dq < 0 or dt < 0 for dq, dt in terms):
-                    raise ValueError(
-                        f"coefficient of x^{i} y^{j} has a negative exponent: {cell}"
-                    )
-                nonconstant.append((
-                    *((j, i) if tall else (i, j)), terms,
-                    max(dq for dq, _ in terms),
-                    max(dt for _, dt in terms),
-                    max(dq - dt for dq, dt in terms),
-                    sum(abs(c) for c in terms.values()),
-                ))
+                nonconstant.append((*((j, i) if tall else (i, j)), terms, *_extent(terms)))
         mirror = all(
             self.coeff[i][j] == self.coeff[j][i] for i in range(rows) for j in range(i)
         )
@@ -459,14 +436,12 @@ class TruncatedSeries2:
                 if reads:
                     boxes[m][n] = tuple(map(max, zip(*reads)))
                 norm[m][n] = l1
-        width = max(box[0] for row in boxes for box in row) + 1
-        top_t = max(box[1] for row in boxes for box in row)
-        size = (max(map(max, norm)).bit_length() + 8) // 8  # bytes per slot
-        bits = 8 * size
+        deg_q, deg_t, _ = map(max, zip(*[box for row in boxes for box in row]))
+        slots = _Slots(max(map(max, norm)), deg_q, deg_t)
 
         shifts = [
-            (i, j, [(bits * (dq + dt * width), -c) for (dq, dt), c in terms.items()])
-            for i, j, terms, _, _, _, _ in nonconstant
+            (i, j, slots.shifts({key: -c for key, c in terms.items()}))
+            for i, j, terms, *_ in nonconstant
         ]
         reach = max((i for i, _, _ in shifts), default=0)
         band = max((j - i for i, j, _ in shifts), default=0) if mirror else 0
@@ -491,58 +466,117 @@ class TruncatedSeries2:
                         if i <= m and j <= n:
                             s = packed[m - i][n - j]
                             if s:
-                                for shift, c in pairs:
-                                    if c == 1:
-                                        acc += s << shift
-                                    elif c == -1:
-                                        acc -= s << shift
-                                    else:
-                                        acc += c * (s << shift)
+                                acc = _shift_add(acc, s, pairs)
                     row[n] = acc
                 if m >= keep:
                     packed[m - keep] = None  # no later row reads it
                 yield row, boxes[m]
 
-        return _Unpacker(size, width, (top_t + 1) * width), mirror, packed_rows()
+        return slots.decode, mirror, packed_rows()
 
 
-class _Unpacker:
-    """Unpacks the packed cells of one reciprocal (see _packed_rows).
+def _extent(terms):
+    """(q-degree, t-degree, largest q-degree minus t-degree, l1 norm) of a
+    term map, zeros for the zero polynomial; a negative exponent raises
+    ValueError."""
+    for dq, dt in terms:
+        if dq < 0 or dt < 0:
+            raise ValueError(f"term q^{dq}*t^{dt} has a negative exponent")
+    return (
+        max((dq for dq, _ in terms), default=0),
+        max((dt for _, dt in terms), default=0),
+        max((dq - dt for dq, dt in terms), default=0),
+        sum(map(abs, terms.values())),
+    )
 
-    After adding 2^(B-1) to every B-bit slot, B = 8*size, slot
-    dq + dt*width holds the coefficient of q^dq t^dt plus 2^(B-1), one
-    unsigned little-endian digit of size bytes.  A cell reads only the
-    slots inside its bounds box = (deg_q, deg_t, lead): dt <= deg_t and
-    dq <= min(deg_q, dt + lead).  It reads them in canonical term order,
-    so sorting the terms for output is one linear pass.  The slices and
-    keys of a box's slots are listed once per box; the slice and key
-    objects themselves are shared by every box.
+
+def _shift_add(acc, value, shifts):
+    """acc plus value times the polynomial of ``shifts`` (_Slots.shifts):
+    one shift-add per term, linear in the size of value, where an int
+    product with a wide factor is not."""
+    for shift, c in shifts:
+        if c == 1:
+            acc += value << shift
+        elif c == -1:
+            acc -= value << shift
+        else:
+            acc += c * (value << shift)
+    return acc
+
+
+class _Slots:
+    """The slot layout of the evaluation q = 2^B, t = 2^(B*W), for the
+    polynomials of q-degree at most deg_q, t-degree at most deg_t and
+    coefficients at most norm in absolute value.
+
+    Evaluation at that point is a ring homomorphism from Z[q, t] to Z, so
+    equal polynomials have equal values, and multiplying a value by the
+    term c*q^a*t^b is one shift-add, c * (v << B*(a + b*W)): ``shifts``
+    lists those shifts for a term map, and _shift_add adds them.  W =
+    deg_q + 1, and B = 8*size bits with size =
+    ceil((bit_length(norm) + 1) / 8) bytes: one bit more than the norm
+    needs, for the sign, rounded up to whole bytes.  The map is injective
+    on these polynomials.  After adding 2^(B-1) to every B-bit slot, slot
+    dq + dt*W holds the coefficient of q^dq t^dt plus 2^(B-1), which lies
+    in [0, 2^B), so no slot carries into the next, and every digit is one
+    unsigned little-endian int of size bytes.  ``pack`` writes those
+    digits and ``decode`` reads them back.
+
+    ``decode(value, box)`` reads only the slots inside box = (deg_q,
+    deg_t, lead): dt <= deg_t and dq <= min(deg_q, dt + lead).  It reads
+    them in canonical term order, so sorting the terms for output is one
+    linear pass.  The slices and keys of a box's slots are listed once
+    per box.  The slice and key objects themselves are made on the first
+    decode, once per layout, and shared by every box; a layout that is
+    never decoded makes none.
     """
 
-    def __init__(self, size, width, slots):
-        self.size = size
-        self.width = width
+    def __init__(self, norm, deg_q, deg_t):
+        self.size = (norm.bit_length() + 8) // 8  # bytes per slot
+        self.bits = 8 * self.size
+        self.width = deg_q + 1
+        self.count = (deg_t + 1) * self.width
+        self.zero = bytes(self.size - 1) + b"\x80"  # the digit of a zero coefficient
         self.boxes = {}  # box -> (slices, keys, end): its slots in canonical order
-        # slot -> the slice of its bytes, and its (deg_q, deg_t).  Made
-        # cell by cell instead, these scattered among the cells' terms and
-        # raised the peak RSS of `series 20 20` by about 2 MiB.
-        self.slices = [slice(k, k + size) for k in range(0, slots * size, size)]
-        self.keys = [(slot % width, slot // width) for slot in range(slots)]
+        self.slices = self.keys = None
 
-    def __call__(self, value, box) -> BivarPoly:
+    def shifts(self, terms):
+        """[(shift, coeff)] of a term map: the product of a value with it
+        is _shift_add(0, value, shifts)."""
+        bits, width = self.bits, self.width
+        return [(bits * (dq + dt * width), c) for (dq, dt), c in terms.items()]
+
+    def pack(self, terms):
+        """The value of a term map in this layout, in one pass over its
+        slot digits; the bias is taken off at the end, since shift-adds
+        would copy the growing sum once per term."""
+        size, width, offset = self.size, self.width, 1 << self.bits - 1
+        slots = bytearray(self.zero * self.count)
+        bias = int.from_bytes(slots, "little")
+        for (dq, dt), c in terms.items():
+            start = (dq + dt * width) * size
+            slots[start : start + size] = (c + offset).to_bytes(size, "little")
+        return int.from_bytes(slots, "little") - bias
+
+    def decode(self, value, box) -> BivarPoly:
         slices, keys, end = self.boxes.get(box) or self._read_box(box)
-        size = self.size
-        bias = int.from_bytes((bytes(size - 1) + b"\x80") * end, "little")
-        buf = (value + bias).to_bytes(end * size, "little")
+        bias = int.from_bytes(self.zero * end, "little")
+        buf = (value + bias).to_bytes(end * self.size, "little")
         digits = map(int.from_bytes, map(buf.__getitem__, slices), repeat("little"))
-        coeffs = list(map(sub, digits, repeat(1 << (8 * size - 1))))
+        coeffs = list(map(sub, digits, repeat(1 << (self.bits - 1))))
         poly = BivarPoly.__new__(BivarPoly)
         poly._terms = dict(compress(zip(keys, coeffs), coeffs))
         return poly
 
     def _read_box(self, box):
         deg_q, deg_t, lead = box
-        width = self.width
+        size, width = self.size, self.width
+        if self.slices is None:
+            # slot -> the slice of its bytes, and its (deg_q, deg_t).  Made
+            # cell by cell instead, these scattered among the cells' terms
+            # and raised the peak RSS of `series 20 20` by about 2 MiB.
+            self.slices = [slice(k, k + size) for k in range(0, self.count * size, size)]
+            self.keys = [(slot % width, slot // width) for slot in range(self.count)]
         # Falling total degree, then falling t-degree, as _ordered sorts;
         # generated in that order, since sorting here left temporary rows
         # among the cells' terms, which raised the peak RSS as the keys did.

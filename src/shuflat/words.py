@@ -95,7 +95,9 @@ def validate(letters: Iterable, m: int, n: int) -> Word:
     """Check a raw letter sequence and return it as a shuffle word.
 
     Raises DuplicateLetter, OrderViolation, or IndexOutOfRange, each
-    naming the first offending 1-based position.
+    naming the first offending 1-based position.  IndexOutOfRange also
+    covers an unknown family and an index that is not an int (a bool is
+    refused too).
     """
     word = tuple(Letter(fam, idx) for fam, idx in letters)
     seen = set()
@@ -103,6 +105,8 @@ def validate(letters: Iterable, m: int, n: int) -> Word:
     for pos, letter in enumerate(word, start=1):
         if letter.family not in (FAMILY_X, FAMILY_Y):
             raise IndexOutOfRange(f"position {pos}: unknown family {letter.family!r}")
+        if type(letter.index) is not int:
+            raise IndexOutOfRange(f"position {pos}: index {letter.index!r} is not an int")
         bound = m if letter.family == FAMILY_X else n
         if not 1 <= letter.index <= bound:
             raise IndexOutOfRange(

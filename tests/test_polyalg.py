@@ -6,7 +6,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from shuflat import cli, polyalg
+from shuflat import cli, identities, polyalg
 from shuflat.polyalg import (
     ONE,
     Q,
@@ -443,13 +443,13 @@ def test_one_cell_reader_rejects_cells_outside_the_series():
 
 def counting_unpacks(monkeypatch):
     calls = []
-    unpack = polyalg._Unpacker.__call__
+    decode = polyalg._Slots.decode
 
     def counted(self, value, box):
         calls.append(box)
-        return unpack(self, value, box)
+        return decode(self, value, box)
 
-    monkeypatch.setattr(polyalg._Unpacker, "__call__", counted)
+    monkeypatch.setattr(polyalg._Slots, "decode", counted)
     return calls
 
 
@@ -467,3 +467,90 @@ def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
     # which the 3 left of the diagonal are mirror cells
     assert len(calls) == 12 - 3
     capsys.readouterr()
+
+
+# -- the packed-evaluation codec ------------------------------------------
+
+BOUNDARY = [127, 128, 255, 256, 2**63, 2**64, 2**64 - 1]
+codec_coefficients = st.one_of(
+    st.sampled_from(BOUNDARY + [-c for c in BOUNDARY] + [1, -1]),
+    st.integers(-(2**70), 2**70),
+)
+codec_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), codec_coefficients, max_size=4
+).map(BivarPoly)
+
+
+def exact_slots(*polys):
+    """The tightest layout holding every one of ``polys``: its largest
+    q-degree, t-degree and coefficient."""
+    terms = [term for p in polys for term in p._terms.items()]
+    return polyalg._Slots(
+        max((abs(c) for _, c in terms), default=0),
+        max((dq for (dq, _), _ in terms), default=0),
+        max((dt for (_, dt), _ in terms), default=0),
+    )
+
+
+def full_box(slots):
+    return (slots.width - 1, slots.count // slots.width - 1, slots.width - 1)
+
+
+@SETTINGS
+@hypothesis.given(codec_polys)
+@hypothesis.example(ZERO)
+@hypothesis.example(BivarPoly.constant(127))
+@hypothesis.example(BivarPoly.constant(-128))
+@hypothesis.example(BivarPoly({(0, 0): 128, (1, 0): -127}))
+@hypothesis.example(BivarPoly({(1, 1): 2**63, (0, 1): -(2**64)}))
+@hypothesis.example(BivarPoly({(2, 0): -(2**63), (0, 2): 2**64}))
+def test_packed_polynomial_decodes_to_itself(p):
+    # the tightest layout: one bit more than the largest coefficient needs
+    slots = exact_slots(p)
+    assert slots.decode(slots.pack(p._terms), full_box(slots)) == p
+    # the value of the packed digits is the evaluation at q = 2^B, t = 2^(B*W)
+    assert slots.pack(p._terms) == p.evaluate(1 << slots.bits, 1 << slots.bits * slots.width)
+
+
+def test_slot_size_keeps_a_sign_bit():
+    # 127 fits a signed byte and 128 does not: the byte count changes there
+    assert [polyalg._Slots(c, 0, 0).size for c in (127, 128, 2**63 - 1, 2**63)] == [1, 2, 8, 9]
+    assert polyalg._Slots(0, 0, 0).size == 1
+
+
+@SETTINGS
+@hypothesis.given(codec_polys, codec_polys)
+@hypothesis.example(ONE, BivarPoly.constant(-128))
+@hypothesis.example(BivarPoly.constant(-1), BivarPoly({(0, 0): 127, (3, 1): 128}))
+@hypothesis.example(Q - 1, BivarPoly({(1, 0): 2**64, (0, 2): -(2**63)}))
+def test_shift_add_is_the_product_of_packed_values(m, p):
+    product = m * p
+    slots = exact_slots(m, p, product)
+    packed = polyalg._shift_add(0, slots.pack(p._terms), slots.shifts(m._terms))
+    assert packed == slots.pack(product._terms)
+    assert slots.decode(packed, full_box(slots)) == product
+    # the shift-add accumulates onto what it is given
+    assert polyalg._shift_add(7, slots.pack(p._terms), slots.shifts(m._terms)) == packed + 7
+
+
+def test_passing_relation_builds_no_decode_tables(monkeypatch):
+    made = []
+
+    class Recording(polyalg._Slots):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(identities, "_Slots", Recording)
+    assert identities.verify_h_to_m(3, 2).passed
+    assert identities.verify_char_from_h(3, 2).passed
+    assert len(made) == 2 and all(s.slices is None and not s.boxes for s in made)
+
+
+def test_exponents_must_be_ints():
+    for key in ((1.5, 0), ("2", 0), (0, 1.0), (True, 0), (0, None)):
+        with pytest.raises(ValueError, match="exponents must be ints"):
+            BivarPoly({key: 1})
+    # negative exponents stay allowed, and the keys are kept as given
+    p = BivarPoly({(-1, 2): 3})
+    assert p.terms() == [((-1, 2), 3)]

@@ -61,6 +61,11 @@ def test_validate_rejects_out_of_range():
         validate(w("y4"), 6, 3)
     with pytest.raises(IndexOutOfRange):
         validate([("z", 1)], 6, 3)
+    # an index that is not an int, a bool included
+    for index in (1.5, True, "1", None):
+        with pytest.raises(IndexOutOfRange) as err:
+            validate([("y", 1), ("x", index)], 2, 2)
+        assert "position 2" in str(err.value)
 
 
 def brute_words(m, n):
