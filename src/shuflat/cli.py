@@ -163,25 +163,23 @@ def _cmd_enumerate(args):
 
 def _cmd_hasse(args):
     cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
+    m, n, bub = args.m, args.n, args.order == "bub"
     # nodes are (word, rank), edges (lower, upper, kind or None); every
-    # format renders these two lists.
-    if args.order == "shuf":
-        poset = lattices.build_shuffle_lattice(args.m, args.n, cap)
-        nodes = [
-            (words.format_word(label), poset.ranks[i])
-            for i, label in enumerate(poset.labels)
-        ]
-        edges = [(nodes[a][0], nodes[b][0], None) for a, b in poset.covers]
-    else:
-        # the edges of lattices.bubble_covers, in its order, from the one
-        # enumeration that also gives the nodes
-        listing = words.enumerate_shuffle_words(args.m, args.n, cap)
-        nodes = [(words.format_word(w), words.rank(w, args.m)) for w in listing]
-        edges = [
-            (words.format_word(u), words.format_word(upper), kind)
-            for u in listing
-            for upper, kind in lattices._bubble_upper_covers(u, args.m, args.n)
-        ]
+    # format renders these two lists.  Each word's covers are sorted into
+    # enumeration order, length then lexicographic: the order of the
+    # lattice's covers and of lattices.bubble_covers.
+    listing = words.enumerate_shuffle_words(m, n, cap)
+    name = {w: words.format_word(w) for w in listing}
+    nodes = [(name[w], words.rank(w, m)) for w in listing]
+    edges = [
+        (name[u], name[upper], kind)
+        for u in listing
+        for upper, kind in sorted(
+            lattices._bubble_covers_above(u, m, n) if bub
+            else [(v, None) for v in lattices.indel_successors(u, m, n)],
+            key=lambda c: (len(c[0]), c[0]),
+        )
+    ]
 
     def text():
         if args.format == "text":

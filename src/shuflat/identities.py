@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from . import triangles
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _extent, _shift_add, _Slots
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _extent, _powers, _shift_add, _Slots
 from .words import check_size
 
 #: Default bound of the identity and relation checks, and of the
@@ -51,14 +51,6 @@ def _factor(eta_i, lambda_i, extra):
         c = comb(lambda_i, a) * comb(eta_i, a)
         acc = acc + c * T**a * (T + 1) ** (eta_i + extra - a)
     return acc
-
-
-def _powers(first, base, count):
-    """[first, first*base, ..., first*base^count] by repeated products."""
-    out = [first]
-    for _ in range(count):
-        out.append(out[-1] * base)
-    return out
 
 
 def _factor_powers(max_m, max_n, k, full_exponent):
@@ -364,7 +356,7 @@ def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
     verdicts.append(
         IdentityVerdict(
             "series-cross-term-adjudication",
-            (2, 2),
+            triangles._ADJUDICATION_SQUARE,
             adjudication[triangles.CROSS_TERM_Q_MINUS_1]
             and not adjudication[triangles.CROSS_TERM_Q_PLUS_1],
             detail=cross_term_note(adjudication),

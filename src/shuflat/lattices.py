@@ -111,19 +111,15 @@ def _bubble_covers_above(u, m, n):
             below = letter.index
 
 
-def _bubble_upper_covers(u, m, n):
-    """(upper, kind) pairs for the bubble covers directly above u, sorted
-    by upper word (shorter first), then kind."""
-    return sorted(_bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c))
-
-
 def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
-    """Every bubble cover pair for (m, n), sorted by lower word in
-    enumeration order, then as ``_bubble_upper_covers`` sorts them."""
+    """Every bubble cover pair for (m, n), sorted by lower word, then by
+    upper word, both in enumeration order (length, then lexicographic)."""
     return [
         BubbleCover(u, upper, kind)
         for u in enumerate_shuffle_words(m, n, size_cap)
-        for upper, kind in _bubble_upper_covers(u, m, n)
+        for upper, kind in sorted(
+            _bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0])
+        )
     ]
 
 

@@ -2,8 +2,8 @@
 
 Coefficients are Python ints throughout, so nothing ever overflows;
 rational evaluation uses :class:`fractions.Fraction`.  A BivarPoly is a
-canonical term map (no zero coefficients) and compares by exact term
-equality.  Rendering and JSON export list terms by falling total
+canonical term map (no zero coefficients, and no coefficient or
+exponent that is not an int) and compares by exact term equality.  Rendering and JSON export list terms by falling total
 degree, then falling t-degree, e.g.::
 
     q^2*t^2 - 3*q*t^2 + 2*t^2 + 3*q*t - 3*t + 1
@@ -82,6 +82,8 @@ class BivarPoly:
             for (dq, dt), coeff in terms.items():
                 if type(dq) is not int or type(dt) is not int:
                     raise ValueError(f"exponents must be ints, got {(dq, dt)!r}")
+                if type(coeff) is not int:
+                    raise ValueError(f"coefficients must be ints, got {coeff!r}")
                 if coeff:
                     clean[dq, dt] = coeff
         self._terms = clean
@@ -488,6 +490,14 @@ def _extent(terms):
         max((dq - dt for dq, dt in terms), default=0),
         sum(map(abs, terms.values())),
     )
+
+
+def _powers(first, base, count):
+    """[first, first*base, ..., first*base^count] by repeated products."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * base)
+    return out
 
 
 def _shift_add(acc, value, shifts):

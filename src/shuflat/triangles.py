@@ -43,7 +43,7 @@ from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
 from .poset import NoBottom, NotGraded, Poset, plane_put, plane_sum
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, series_reciprocal
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, series_reciprocal
 from .words import enumerate_shuffle_words, interval_shape, rank
 
 #: Brute-force routes refuse lattices larger than this unless forced.
@@ -272,12 +272,17 @@ def m_series_coefficient(m, n) -> BivarPoly:
     return denominator.reciprocal_coefficient(m, n)
 
 
-def adjudicate_series_cross_term(max_m=2, max_n=2):
+#: (max_m, max_n) of the square that adjudicate_series_cross_term checks
+_ADJUDICATION_SQUARE = (2, 2)
+
+
+def adjudicate_series_cross_term():
     """Which denominator cross term reproduces the brute-force M-triangle.
 
     Returns {variant: bool} after comparing every series coefficient up
-    to (max_m, max_n) with m_triangle_brute.
+    to _ADJUDICATION_SQUARE with m_triangle_brute.
     """
+    max_m, max_n = _ADJUDICATION_SQUARE
     brute = {
         (i, j): m_triangle_brute(i, j)
         for i in range(max_m + 1)
@@ -311,9 +316,7 @@ def h_triangle_formula(m: int, n: int) -> BivarPoly:
     """Closed form sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a), the powers of
     qt+1 read from one table made by successive products."""
     core = Q * T + 1
-    core_pow = [ONE]
-    for _ in range(m + n):
-        core_pow.append(core_pow[-1] * core)
+    core_pow = _powers(ONE, core, m + n)
     acc = BivarPoly()
     for a in range(min(m, n) + 1):
         c = comb(m, a) * comb(n, a)

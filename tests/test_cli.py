@@ -434,7 +434,8 @@ def test_unwritable_verify_json_leaves_stdout_empty(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_hasse_bub_enumerates_once(capsys, monkeypatch):
+@pytest.mark.parametrize("order", ["shuf", "bub"])
+def test_hasse_enumerates_once(capsys, monkeypatch, order):
     from shuflat import lattices, words
 
     original = words.enumerate_shuffle_words
@@ -446,9 +447,52 @@ def test_hasse_bub_enumerates_once(capsys, monkeypatch):
 
     for module in (words, lattices, triangles):
         monkeypatch.setattr(module, "enumerate_shuffle_words", counting)
-    code, out, _ = run_cli(capsys, "hasse", "2", "2", "--order", "bub")
+    code, out, _ = run_cli(capsys, "hasse", "2", "2", "--order", order)
     assert code == 0 and out.startswith("digraph hasse {")
     assert len(calls) == 1
+
+
+def test_hasse_builds_no_poset(capsys, monkeypatch):
+    from shuflat import lattices, poset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hasse built a Poset")
+
+    monkeypatch.setattr(lattices, "build_shuffle_lattice", refuse)
+    monkeypatch.setattr(lattices, "build_poset", refuse)
+    monkeypatch.setattr(poset, "build_poset", refuse)
+    monkeypatch.setattr(poset.Poset, "__init__", refuse)
+    for order in ("shuf", "bub"):
+        code, out, err = run_cli(capsys, "hasse", "3", "2", "--order", order, "--format", "json")
+        assert (code, err) == (0, ""), order
+        assert len(json.loads(out)["nodes"]) == words.shuffle_word_count(3, 2)
+
+
+@pytest.mark.parametrize("order", ["shuf", "bub"])
+def test_hasse_json_matches_the_lattice_and_bubble_covers(capsys, order):
+    from shuflat import lattices
+
+    for m in range(5):
+        for n in range(5):
+            code, out, _ = run_cli(capsys, "hasse", str(m), str(n), "--order", order, "--format", "json")
+            assert code == 0
+            lattice = lattices.build_shuffle_lattice(m, n)
+            name = [words.format_word(w) for w in lattice.labels]
+            if order == "shuf":
+                edges = [{"lower": name[a], "upper": name[b]} for a, b in lattice.covers]
+            else:
+                edges = [
+                    {"lower": words.format_word(lo), "upper": words.format_word(hi), "kind": kind}
+                    for lo, hi, kind in lattices.bubble_covers(m, n)
+                ]
+            assert json.loads(out) == {
+                "schema": 1,
+                "m": m,
+                "n": n,
+                "order": order,
+                "nodes": [{"word": w, "rank": r} for w, r in zip(name, lattice.ranks)],
+                "edges": edges,
+            }, (m, n)
 
 
 @pytest.mark.parametrize(

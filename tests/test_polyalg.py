@@ -554,3 +554,16 @@ def test_exponents_must_be_ints():
     # negative exponents stay allowed, and the keys are kept as given
     p = BivarPoly({(-1, 2): 3})
     assert p.terms() == [((-1, 2), 3)]
+
+
+def test_coefficients_must_be_ints():
+    for coeff in (1.5, True, False, 0.0, "1", None):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            BivarPoly({(1, 0): 1, (0, 0): coeff})
+    with pytest.raises(ValueError, match="coefficients must be ints"):
+        BivarPoly.constant(True)
+    # a series cell with a fractional constant is refused when it is made,
+    # before any reciprocal
+    with pytest.raises(ValueError, match="coefficients must be ints"):
+        series_reciprocal({(0, 0): ONE, (1, 0): BivarPoly({(0, 0): 0.5})}, 2, 2)
+    assert BivarPoly({(1, 0): 2, (0, 0): 0}).terms() == [((1, 0), 2)]
