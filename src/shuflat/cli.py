@@ -233,38 +233,25 @@ def _cmd_triangle(args):
     return 0
 
 
-def _once(render, cells):
-    """[render(cell) for cell in cells], calling render once per distinct
-    cell object: the mirror cells of a symmetric series are one object,
-    and they share one result."""
-    made = {}
-    for cell in cells:
-        if id(cell) not in made:
-            made[id(cell)] = render(cell)
-    return [made[id(cell)] for cell in cells]
-
-
 def _cmd_series(args):
-    series = triangles.m_series(args.max_m, args.max_n)
-    cells = [(i, j) for i in range(args.max_m + 1) for j in range(args.max_n + 1)]
-    polys = [series.coefficient(i, j) for i, j in cells]
+    # each cell is read straight into the form that is written, and a
+    # mirror cell is the same text or term list as its pair
+    series = triangles.m_series(args.max_m, args.max_n, reader="json" if args.json else "text")
+    cells = [
+        (i, j, series.coefficient(i, j))
+        for i in range(args.max_m + 1)
+        for j in range(args.max_n + 1)
+    ]
     _write(
         args,
         args.json,
         # the pieces are joined in place: a line formatted around a shared
         # text would copy it once per mirror cell
-        lambda: "".join([
-            piece
-            for (i, j), text in zip(cells, _once(str, polys))
-            for piece in (f"({i},{j}): ", text, "\n")
-        ]),
+        lambda: "".join([piece for i, j, text in cells for piece in (f"({i},{j}): ", text, "\n")]),
         lambda: {
             "max_m": args.max_m,
             "max_n": args.max_n,
-            "coefficients": [
-                {"m": i, "n": j, "terms": terms}
-                for (i, j), terms in zip(cells, _once(lambda p: p.to_json_terms(), polys))
-            ],
+            "coefficients": [{"m": i, "n": j, "terms": terms} for i, j, terms in cells],
         },
     )
     return 0

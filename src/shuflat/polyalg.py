@@ -3,8 +3,9 @@
 Coefficients are Python ints throughout, so nothing ever overflows;
 rational evaluation uses :class:`fractions.Fraction`.  A BivarPoly is a
 canonical term map (no zero coefficients, and no coefficient or
-exponent that is not an int) and compares by exact term equality.  Rendering and JSON export list terms by falling total
-degree, then falling t-degree, e.g.::
+exponent that is not an int) and compares by exact term equality.
+Rendering and JSON export list terms by falling total degree, then
+falling t-degree, e.g.::
 
     q^2*t^2 - 3*q*t^2 + 2*t^2 + 3*q*t - 3*t + 1
 
@@ -29,10 +30,13 @@ the diagonal are not computed.  With band the largest j - i over the
 nonconstant D[i][j], a cell within the band holds its mirror's int,
 which the recurrence reads, and nothing reads the cells further left.
 
-One recurrence has two readers: reciprocal() decodes every row as it is
-done, a mirror pair once, and reciprocal_coefficient() decodes one cell
-and drops the other rows as soon as no later row reads them.
-identities checks the M<->H substitution relations in the same layout.
+One recurrence serves every reader.  reciprocal() reads every row as
+it is done, a mirror pair once, with the cell reader it is given: a
+BivarPoly by default, or the cell's text or JSON terms written
+straight from its packed int, with no BivarPoly and no sort (shuflat
+series).  reciprocal_coefficient() decodes one cell and drops the
+other rows as soon as no later row reads them.  identities checks the
+M<->H substitution relations in the same layout.
 """
 
 from __future__ import annotations
@@ -321,14 +325,18 @@ class TruncatedSeries2:
             coeff.append(row)
         return TruncatedSeries2(max_x, max_y, coeff)
 
-    def reciprocal(self) -> "TruncatedSeries2":
+    def reciprocal(self, reader="decode") -> "TruncatedSeries2":
         """The series S with self * S = 1 up to the truncation order.
 
         S[m][n] is [m = n = 0] minus the sum of D[i][j] * S[m-i][n-j]
         over the nonconstant coefficients D[i][j] of self.  The recurrence
         runs on packed ints (see _packed_rows and _Slots), and each row is
-        decoded as soon as it is done; the packed ints of a row are
-        dropped once no later row reads them.
+        read as soon as it is done; the packed ints of a row are dropped
+        once no later row reads them.
+
+        ``reader`` names the _Slots method that reads each cell: "decode"
+        makes the BivarPoly, "text" its str() and "json" its
+        to_json_terms(), each straight from the packed int.
 
         Input contract: the constant coefficient must be exactly 1
         (else NonUnitConstantTerm).  The other cells are BivarPoly with
@@ -336,13 +344,16 @@ class TruncatedSeries2:
         A coefficient with a negative exponent raises ValueError before
         any work.
         """
-        decode, mirror, rows = self._packed_rows()
+        if reader not in _Slots.READERS:
+            raise ValueError(f"unknown cell reader {reader!r}")
+        slots, mirror, rows = self._packed_rows()
+        read = getattr(slots, reader)
         coeff = []
         for m, (values, boxes) in enumerate(rows):
             # under a mirror, a cell left of the diagonal is its mirror
-            # cell, decoded in an earlier row
+            # cell, read in an earlier row
             coeff.append([
-                coeff[n][m] if mirror and n < m else decode(v, box) if v else ZERO
+                coeff[n][m] if mirror and n < m else read(v, box)
                 for n, (v, box) in enumerate(zip(values, boxes))
             ])
         if self.max_x > self.max_y:  # the rows ran along y
@@ -360,17 +371,17 @@ class TruncatedSeries2:
         if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
             raise IndexError(f"cell ({i}, {j}) is outside the series")
         corner = TruncatedSeries2(i, j, [row[: j + 1] for row in self.coeff[: i + 1]])
-        decode, _, rows = corner._packed_rows()
+        slots, _, rows = corner._packed_rows()
         for values, boxes in rows:  # run to the last row
             pass
         # the rows run along the longer side, so (i, j) ends the last row
         last = max(i, j)
-        return decode(values[last], boxes[last]) if values[last] else ZERO
+        return slots.decode(values[last], boxes[last])
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.
 
-        Returns (decode, mirror, rows).  The recurrence runs wide: its
+        Returns (slots, mirror, rows).  The recurrence runs wide: its
         rows are indexed by the shorter side of self, x unless max_x >
         max_y, in which case they are indexed by y and cell (m, n) of a
         row is S[n][m].  Swapping x and y is a ring map, so this is the
@@ -378,9 +389,10 @@ class TruncatedSeries2:
         ``rows`` yields, for each row m in turn, (values, boxes):
         values[n] is S[m][n] packed in one _Slots layout, and boxes[n]
         the (q-degree, t-degree, q-degree minus t-degree) bounds of that
-        cell.  ``decode(values[n], boxes[n])`` is the cell as a
-        BivarPoly.  The input is checked, and the bounds taken, before
-        this returns.
+        cell.  ``slots`` is the _Slots layout: ``slots.decode(values[n],
+        boxes[n])`` is the cell as a BivarPoly, and its other readers
+        write the cell's text or JSON terms.  The input is checked, and
+        the bounds taken, before this returns.
 
         ``mirror`` says that self is symmetric on the square where both
         (i, j) and (j, i) are cells.  Then so is S, and every row being at
@@ -474,7 +486,7 @@ class TruncatedSeries2:
                     packed[m - keep] = None  # no later row reads it
                 yield row, boxes[m]
 
-        return slots.decode, mirror, packed_rows()
+        return slots, mirror, packed_rows()
 
 
 def _extent(terms):
@@ -532,14 +544,18 @@ class _Slots:
     unsigned little-endian int of size bytes.  ``pack`` writes those
     digits and ``decode`` reads them back.
 
-    ``decode(value, box)`` reads only the slots inside box = (deg_q,
-    deg_t, lead): dt <= deg_t and dq <= min(deg_q, dt + lead).  It reads
-    them in canonical term order, so sorting the terms for output is one
-    linear pass.  The slices and keys of a box's slots are listed once
-    per box.  The slice and key objects themselves are made on the first
-    decode, once per layout, and shared by every box; a layout that is
-    never decoded makes none.
+    Three cell readers share one digit reader, which reads only the
+    slots inside box = (deg_q, deg_t, lead): dt <= deg_t and dq <=
+    min(deg_q, dt + lead), in canonical term order.  ``decode(value,
+    box)`` makes the BivarPoly; ``text`` writes its str() and ``json``
+    its to_json_terms() straight from the digits, with no term map and
+    no sort.  The slices, keys and monomial names of a box's slots are
+    listed once per box.  The slice and key objects themselves are made
+    on the first read, once per layout, and shared by every box; a
+    layout that is never read makes none.
     """
+
+    READERS = ("decode", "text", "json")
 
     def __init__(self, norm, deg_q, deg_t):
         self.size = (norm.bit_length() + 8) // 8  # bytes per slot
@@ -547,7 +563,7 @@ class _Slots:
         self.width = deg_q + 1
         self.count = (deg_t + 1) * self.width
         self.zero = bytes(self.size - 1) + b"\x80"  # the digit of a zero coefficient
-        self.boxes = {}  # box -> (slices, keys, end): its slots in canonical order
+        self.boxes = {}  # box -> (slices, keys, names, end): its slots in canonical order
         self.slices = self.keys = None
 
     def shifts(self, terms):
@@ -569,14 +585,40 @@ class _Slots:
         return int.from_bytes(slots, "little") - bias
 
     def decode(self, value, box) -> BivarPoly:
-        slices, keys, end = self.boxes.get(box) or self._read_box(box)
-        bias = int.from_bytes(self.zero * end, "little")
-        buf = (value + bias).to_bytes(end * self.size, "little")
-        digits = map(int.from_bytes, map(buf.__getitem__, slices), repeat("little"))
-        coeffs = list(map(sub, digits, repeat(1 << (self.bits - 1))))
+        coeffs, (_, keys, _, _) = self._digits(value, box)
         poly = BivarPoly.__new__(BivarPoly)
         poly._terms = dict(compress(zip(keys, coeffs), coeffs))
         return poly
+
+    def text(self, value, box) -> str:
+        """str(self.decode(value, box)), written from the digits."""
+        # BivarPoly.__str__'s per-term format; __str__ keeps its own loop,
+        # as routing it through here slowed the median formula request
+        coeffs, (_, _, names, _) = self._digits(value, box)
+        out = "".join([
+            f" + {c}{name}" if c > 1
+            else f" - {-c}{name}" if c < -1
+            else (" + " if c > 0 else " - ") + (name[1:] or "1")
+            for c, name in compress(zip(coeffs, names), coeffs)
+        ])
+        if not out:
+            return "0"
+        return out[3:] if out[1] == "+" else "-" + out[3:]
+
+    def json(self, value, box) -> list:
+        """self.decode(value, box).to_json_terms(), written from the digits."""
+        coeffs, (_, keys, _, _) = self._digits(value, box)
+        return [[dq, dt, str(c)] for (dq, dt), c in compress(zip(keys, coeffs), coeffs)]
+
+    def _digits(self, value, box):
+        """The coefficients in the slots of box, in canonical order, and
+        the box's (slices, keys, names, end)."""
+        read = self.boxes.get(box) or self._read_box(box)
+        slices, _, _, end = read
+        bias = int.from_bytes(self.zero * end, "little")
+        buf = (value + bias).to_bytes(end * self.size, "little")
+        digits = map(int.from_bytes, map(buf.__getitem__, slices), repeat("little"))
+        return list(map(sub, digits, repeat(1 << (self.bits - 1)))), read
 
     def _read_box(self, box):
         deg_q, deg_t, lead = box
@@ -596,15 +638,17 @@ class _Slots:
             # dq = total - dt must lie in [0, min(deg_q, dt + lead)]
             for dt in range(min(deg_t, total), max(0, total - deg_q, (total - lead + 1) // 2) - 1, -1)
         ]
+        keys = [self.keys[slot] for slot in slots]
         read = self.boxes[box] = (
             [self.slices[slot] for slot in slots],
-            [self.keys[slot] for slot in slots],
+            keys,
+            [_MONOMIALS[key] for key in keys],
             max(slots) + 1,  # the slot after the last one read
         )
         return read
 
 
-def series_reciprocal(terms, max_x, max_y) -> TruncatedSeries2:
-    """Reciprocal of the series given by a sparse term map; see
-    :meth:`TruncatedSeries2.reciprocal`."""
-    return TruncatedSeries2.from_terms(terms, max_x, max_y).reciprocal()
+def series_reciprocal(terms, max_x, max_y, reader="decode") -> TruncatedSeries2:
+    """Reciprocal of the series given by a sparse term map, its cells
+    read by ``reader``; see :meth:`TruncatedSeries2.reciprocal`."""
+    return TruncatedSeries2.from_terms(terms, max_x, max_y).reciprocal(reader)

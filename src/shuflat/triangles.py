@@ -260,10 +260,11 @@ def series_denominator_terms(cross_term=CROSS_TERM_Q_MINUS_1):
     }
 
 
-def m_series(max_m, max_n, cross_term=CROSS_TERM_Q_MINUS_1) -> TruncatedSeries2:
+def m_series(max_m, max_n, cross_term=CROSS_TERM_Q_MINUS_1, reader="decode") -> TruncatedSeries2:
     """Truncated series whose (m, n) coefficient is the M-triangle of
-    Shuf(m, n), extracted from the rational generating function."""
-    return series_reciprocal(series_denominator_terms(cross_term), max_m, max_n)
+    Shuf(m, n), extracted from the rational generating function; each
+    cell as ``reader`` reads it (see TruncatedSeries2.reciprocal)."""
+    return series_reciprocal(series_denominator_terms(cross_term), max_m, max_n, reader)
 
 
 def m_series_coefficient(m, n) -> BivarPoly:

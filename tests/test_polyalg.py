@@ -416,6 +416,22 @@ def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
     assert r == reciprocal_oracle(lopsided)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (3, 3)])
+def test_reciprocal_reads_cells_as_text_or_json_terms(shape):
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), *shape)
+    polys = d.reciprocal()
+    text, terms = d.reciprocal("text"), d.reciprocal("json")
+    for m in range(shape[0] + 1):
+        for n in range(shape[1] + 1):
+            assert text.coefficient(m, n) == str(polys.coefficient(m, n))
+            assert terms.coefficient(m, n) == polys.coefficient(m, n).to_json_terms()
+    # a mirror cell is the same text, or term list, as its pair
+    assert text.coefficient(2, 1) is text.coefficient(1, 2)
+    assert terms.coefficient(2, 1) is terms.coefficient(1, 2)
+    with pytest.raises(ValueError, match="unknown cell reader"):
+        d.reciprocal("pack")
+
+
 @pytest.mark.parametrize("variant", [CROSS_TERM_Q_MINUS_1, CROSS_TERM_Q_PLUS_1])
 def test_one_cell_reader_matches_reciprocal(variant):
     d = TruncatedSeries2.from_terms(series_denominator_terms(variant), 8, 8)
@@ -441,15 +457,15 @@ def test_one_cell_reader_rejects_cells_outside_the_series():
             d.reciprocal_coefficient(*cell)
 
 
-def counting_unpacks(monkeypatch):
+def counting_unpacks(monkeypatch, reader="decode"):
     calls = []
-    decode = polyalg._Slots.decode
+    read = getattr(polyalg._Slots, reader)
 
     def counted(self, value, box):
         calls.append(box)
-        return decode(self, value, box)
+        return read(self, value, box)
 
-    monkeypatch.setattr(polyalg._Slots, "decode", counted)
+    monkeypatch.setattr(polyalg._Slots, reader, counted)
     return calls
 
 
@@ -461,11 +477,14 @@ def test_series_route_unpacks_one_cell(monkeypatch, capsys):
 
 
 def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
-    calls = counting_unpacks(monkeypatch)
+    calls = counting_unpacks(monkeypatch, "text")
+    decoded = counting_unpacks(monkeypatch)
     assert cli.run(["series", "3", "2"]) == 0
     # the recurrence runs along the longer side: 3 rows of 4 cells, of
-    # which the 3 left of the diagonal are mirror cells
+    # which the 3 left of the diagonal are mirror cells; each of the
+    # others is written as text, and none is decoded
     assert len(calls) == 12 - 3
+    assert decoded == []
     capsys.readouterr()
 
 
@@ -510,6 +529,48 @@ def test_packed_polynomial_decodes_to_itself(p):
     assert slots.decode(slots.pack(p._terms), full_box(slots)) == p
     # the value of the packed digits is the evaluation at q = 2^B, t = 2^(B*W)
     assert slots.pack(p._terms) == p.evaluate(1 << slots.bits, 1 << slots.bits * slots.width)
+
+
+def assert_readers_match_decode(slots, value, box):
+    poly = slots.decode(value, box)
+    assert slots.text(value, box) == str(poly)
+    assert slots.json(value, box) == poly.to_json_terms()
+    return poly
+
+
+@SETTINGS
+@hypothesis.given(codec_polys, st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**66)))
+@hypothesis.example(ZERO, (0, 0, 0))
+@hypothesis.example(ONE, (0, 0, 0))
+@hypothesis.example(BivarPoly.constant(-1), (1, 1, 0))
+@hypothesis.example(BivarPoly({(0, 0): 1, (1, 0): -1, (1, 1): 1, (0, 1): -1, (2, 2): -2}), (0, 0, 0))
+@hypothesis.example(BivarPoly({(0, 2): 1, (0, 0): -128}), (0, 0, 0))
+@hypothesis.example(BivarPoly({(1, 1): 2**63, (0, 1): -1, (0, 0): 1}), (0, 0, 0))
+def test_cell_readers_match_the_decoded_polynomial(p, slack):
+    # the tightest layout, and one with room to spare in every direction
+    extra_q, extra_t, extra_norm = slack
+    tight = exact_slots(p)
+    deg_q, deg_t, lead, _ = polyalg._extent(p._terms)
+    loose = polyalg._Slots(
+        max(map(abs, p._terms.values()), default=0) + extra_norm, deg_q + extra_q, deg_t + extra_t
+    )
+    for slots in (tight, loose):
+        value = slots.pack(p._terms)
+        # the whole layout, and the tightest box, whose lead is below its
+        # q-degree whenever some term has a q-degree above its t-degree
+        # by less than the largest q-degree
+        for box in (full_box(slots), (deg_q, deg_t, lead)):
+            assert assert_readers_match_decode(slots, value, box) == p
+
+
+def test_a_partial_box_leaves_out_slots():
+    # lead 0 < deg_q 2: q^2 and q^2*t lie outside the box and are not read
+    p = BivarPoly({(2, 2): 5, (1, 1): -1, (0, 1): 1, (0, 0): -1})
+    slots = exact_slots(p)
+    box = (2, 2, 0)
+    assert len(slots._read_box(box)[0]) == slots.count - 3
+    assert assert_readers_match_decode(slots, slots.pack(p._terms), box) == p
+    assert slots.text(slots.pack(p._terms), box) == "5*q^2*t^2 - q*t + t - 1"
 
 
 def test_slot_size_keeps_a_sign_bit():

@@ -34,6 +34,10 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # the series reciprocal, the one-cell series route, the composition
         # sum and rendering carry the closed workload's polyalg layer
         assert cli.run(["series", "2", "2"]) == 0
+        # the wrapped reciprocal and m_series pass the cell reader through
+        capsys.readouterr()
+        assert cli.run(["series", "2", "2", "--json"]) == 0
+        traced_json = capsys.readouterr().out
         assert cli.run(["mtriangle", "2", "2", "--method", "series"]) == 0
         assert cli.run(["mtriangle", "2", "2", "--method", "compsum"]) == 0
         # the suite runners and the relation checks carry the verify spans
@@ -62,3 +66,5 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         "identities.grid_eval",
     } <= recorded
     assert (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row) == originals
+    assert cli.run(["series", "2", "2", "--json"]) == 0
+    assert capsys.readouterr().out == traced_json
