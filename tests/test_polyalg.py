@@ -539,11 +539,15 @@ def assert_readers_match_decode(slots, value, box):
 
 
 @SETTINGS
-@hypothesis.given(codec_polys, st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**66)))
+@hypothesis.given(
+    codec_polys, st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**66))
+)
 @hypothesis.example(ZERO, (0, 0, 0))
 @hypothesis.example(ONE, (0, 0, 0))
 @hypothesis.example(BivarPoly.constant(-1), (1, 1, 0))
-@hypothesis.example(BivarPoly({(0, 0): 1, (1, 0): -1, (1, 1): 1, (0, 1): -1, (2, 2): -2}), (0, 0, 0))
+@hypothesis.example(
+    BivarPoly({(0, 0): 1, (1, 0): -1, (1, 1): 1, (0, 1): -1, (2, 2): -2}), (0, 0, 0)
+)
 @hypothesis.example(BivarPoly({(0, 2): 1, (0, 0): -128}), (0, 0, 0))
 @hypothesis.example(BivarPoly({(1, 1): 2**63, (0, 1): -1, (0, 0): 1}), (0, 0, 0))
 def test_cell_readers_match_the_decoded_polynomial(p, slack):
@@ -556,9 +560,8 @@ def test_cell_readers_match_the_decoded_polynomial(p, slack):
     )
     for slots in (tight, loose):
         value = slots.pack(p._terms)
-        # the whole layout, and the tightest box, whose lead is below its
-        # q-degree whenever some term has a q-degree above its t-degree
-        # by less than the largest q-degree
+        # the whole layout, and the polynomial's own box, which is partial
+        # when its lead is below its q-degree
         for box in (full_box(slots), (deg_q, deg_t, lead)):
             assert assert_readers_match_decode(slots, value, box) == p
 
