@@ -258,10 +258,10 @@ def _cmd_series(args):
 
 
 def emit_report(verdicts, notes=()):
-    """Stable-sorted human report; returns (text, number_of_failures)."""
-    ordered = sorted(verdicts, key=lambda v: (v.name, v.params))
+    """Human report of the verdicts in the order they are given, then the
+    notes; returns (text, number_of_failures)."""
     lines = []
-    for v in ordered:
+    for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         line = f"{status} {v.name} {v.params}"
         if not v.passed:
@@ -271,8 +271,8 @@ def emit_report(verdicts, notes=()):
         lines.append(line)
     for note in notes:
         lines.append(f"NOTE {note}")
-    failed = sum(1 for v in ordered if not v.passed)
-    lines.append(f"{len(ordered) - failed}/{len(ordered)} checks passed")
+    failed = sum(1 for v in verdicts if not v.passed)
+    lines.append(f"{len(verdicts) - failed}/{len(verdicts)} checks passed")
     return "\n".join(lines) + "\n", failed
 
 
@@ -281,15 +281,16 @@ def _cmd_verify(args):
     verdicts, notes = identities.run_suites(
         names, args.max_m, args.max_n, args.series_max
     )
+    # one order, by (name, params), for the text and the JSON report
+    verdicts.sort(key=lambda v: (v.name, v.params))
     text, failed = emit_report(verdicts, notes)
     # the report file first: a path that cannot be written leaves stdout empty
     if args.json:
-        ordered = sorted(verdicts, key=lambda v: (v.name, v.params))
         report = {
             "suites": names,
             "passed": failed == 0,
             "notes": notes,
-            "verdicts": [v.to_json() for v in ordered],
+            "verdicts": [v.to_json() for v in verdicts],
         }
         _emit(_envelope(report), args.json)
     _emit(text, None)

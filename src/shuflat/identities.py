@@ -133,12 +133,6 @@ class IdentityVerdict(
         }
 
 
-def _verdict(name, params, lhs, rhs):
-    if lhs == rhs:
-        return IdentityVerdict(name, params, True)
-    return IdentityVerdict(name, params, False, lhs, rhs)
-
-
 def _first_failure(name, params, cases):
     """One verdict over a lazy iterable of (detail, lhs, rhs) cases: it
     fails with the evidence of the first case whose sides differ."""
@@ -229,8 +223,10 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
     powers = _factor_powers(max_m, max_n, max_k, False)
     full = _factor_powers(min(max_m, 5), min(max_n, 5), min(max_k, 3), True)
     verdicts = [
-        _verdict(
-            "composition-identity", (m, n, k), powers[k].coefficient(m, n), inner_sum_rhs(m, n, k)
+        _first_failure(
+            "composition-identity",
+            (m, n, k),
+            [("", powers[k].coefficient(m, n), inner_sum_rhs(m, n, k))],
         )
         for m in range(max_m + 1)
         for n in range(max_n + 1)
@@ -320,19 +316,17 @@ def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
                 if method == "brute" or (kind, method) == ("mtriangle", "series"):
                     continue
                 verdicts.append(
-                    _verdict(
+                    _first_failure(
                         f"{_KIND_PREFIX[kind]}-brute-vs-{method}",
                         (m, n),
-                        brute[kind],
-                        triangles.compute(kind, m, n, method),
+                        [("", brute[kind], triangles.compute(kind, m, n, method))],
                     )
                 )
             verdicts.append(
-                _verdict(
+                _first_failure(
                     "h-rank-generating",
                     (m, n),
-                    brute["htriangle"].subs_t(1),
-                    triangles.rank_generating_poly(m, n),
+                    [("", brute["htriangle"].subs_t(1), triangles.rank_generating_poly(m, n))],
                 )
             )
 

@@ -14,21 +14,11 @@ indexed by the (x, y) degrees.  Its reciprocal is computed by the
 triangular recurrence and is the workhorse for extracting polynomial
 families from rational generating functions.
 
-The reciprocal runs that recurrence on plain ints: every cell is replaced
-by its value at one evaluation point, whose slot layout _Slots states.
-Degree and norm bounds on every cell, taken before the recurrence, set
-the layout, so each value decodes back to its cell.  A third bound, on
-the largest q-degree minus t-degree of a cell's terms, leaves out the
-slots of each t-row that must be empty.
-
-The recurrence runs wide, its rows along the shorter side: swapping x
-and y is a ring map, so a tall series' reciprocal is the transpose of
-the reciprocal of its transpose.  A denominator symmetric on the square
-where both (i, j) and (j, i) are cells has a reciprocal symmetric there,
-and every row is at least as long as the square, so the cells left of
-the diagonal are not computed.  With band the largest j - i over the
-nonconstant D[i][j], a cell within the band holds its mirror's int,
-which the recurrence reads, and nothing reads the cells further left.
+The reciprocal runs that recurrence on plain ints, every cell replaced
+by its value at one evaluation point.  TruncatedSeries2._packed_rows
+states how the cells are bounded, why the rows run along the shorter
+side and which cells a symmetric denominator leaves out; _Slots states
+the slot layout that the bounds set.
 
 One recurrence serves every reader.  reciprocal() reads every row as
 it is done, a mirror pair once, with the cell reader it is given: a
@@ -165,11 +155,7 @@ class BivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return BivarPoly()
-            out = BivarPoly.__new__(BivarPoly)
-            out._terms = {k: other * c for k, c in self._terms.items()}
-            return out
+            other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         terms = {}
@@ -404,12 +390,17 @@ class TruncatedSeries2:
         (m - i) - (n - j) <= j - i).  Rows are kept back to the larger of
         band and reach, the largest i over the nonconstant D[i][j].
 
-        A first pass bounds every cell.  Its q-degree, its t-degree and
-        the largest q-degree minus t-degree of its terms are each at most
-        the largest, over the terms of the recurrence, of that of D[i][j]
-        plus that of S[m-i][n-j]; its l1 norm is at most the sum of
-        |D[i][j]|_1 * |S[m-i][n-j]|_1.  The largest of each bound sets the
-        layout, and each D[i][j] * S is one shift-add per term of D[i][j].
+        A first pass bounds every cell by one rule.  Its q-degree, its
+        t-degree and the largest q-degree minus t-degree of its terms are
+        each at most the largest, over the terms of the recurrence, of
+        that of D[i][j] plus that of S[m-i][n-j]; its l1 norm is at most
+        the sum of |D[i][j]|_1 * |S[m-i][n-j]|_1.  The largest of each
+        bound sets the layout, and each D[i][j] * S is one shift-add per
+        term of D[i][j].  Under ``mirror`` a cell (m, n) of the square
+        reads only cells of the square, the transposes of those that (n,
+        m) reads, so it is bounded by the same rule and comes out equal
+        to its mirror; the bounds of the cells left of the diagonal are
+        taken even where the cells are not computed.
         """
         if self.coeff[0][0] != ONE:
             raise NonUnitConstantTerm(
@@ -436,9 +427,6 @@ class TruncatedSeries2:
         for m in range(rows):
             for n in range(cols):
                 if m == n == 0:
-                    continue
-                if mirror and n < m:
-                    boxes[m][n], norm[m][n] = boxes[n][m], norm[n][m]
                     continue
                 l1 = 0
                 reads = []

@@ -416,6 +416,36 @@ def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
     assert r == reciprocal_oracle(lopsided)
 
 
+def assert_boxes_symmetric_on_the_square(d):
+    # every cell is bounded by one rule; on the square a cell reads the
+    # transposes of what its mirror reads, so its box is its mirror's
+    _, mirror, rows = d._packed_rows()
+    assert mirror
+    boxes = [list(row_boxes) for _, row_boxes in rows]
+    side = min(d.max_x, d.max_y) + 1
+    for m in range(side):
+        for n in range(side):
+            assert boxes[m][n] == boxes[n][m], (m, n)
+
+
+@pytest.mark.parametrize("variant", [CROSS_TERM_Q_MINUS_1, CROSS_TERM_Q_PLUS_1])
+@pytest.mark.parametrize("shape", [(9, 4), (8, 8), (4, 9)])
+def test_series_denominator_bounds_are_symmetric_on_the_square(variant, shape):
+    assert_boxes_symmetric_on_the_square(
+        TruncatedSeries2.from_terms(series_denominator_terms(variant), *shape)
+    )
+
+
+@SETTINGS
+@hypothesis.given(symmetric_denominators())
+@hypothesis.example(TruncatedSeries2.from_terms(BAND_ABOVE_REACH, 2, 4))
+@hypothesis.example(
+    TruncatedSeries2.from_terms({(j, i): v for (i, j), v in BAND_ABOVE_REACH.items()}, 4, 2)
+)
+def test_symmetric_denominator_bounds_are_symmetric_on_the_square(d):
+    assert_boxes_symmetric_on_the_square(d)
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (3, 3)])
 def test_reciprocal_reads_cells_as_text_or_json_terms(shape):
     d = TruncatedSeries2.from_terms(series_denominator_terms(), *shape)
@@ -595,6 +625,26 @@ def test_shift_add_is_the_product_of_packed_values(m, p):
     assert slots.decode(packed, full_box(slots)) == product
     # the shift-add accumulates onto what it is given
     assert polyalg._shift_add(7, slots.pack(p._terms), slots.shifts(m._terms)) == packed + 7
+
+
+@SETTINGS
+@hypothesis.given(codec_polys, st.sampled_from([0, 1, -1, 7, 2**70, -(2**70)]))
+@hypothesis.example(ZERO, 7)
+@hypothesis.example(Q - 1, 0)
+def test_scalar_product_is_the_product_with_a_constant(p, c):
+    assert p * c == c * p == p * BivarPoly.constant(c)
+
+
+def test_bool_operand_is_refused():
+    # a bool is not taken for the int it subclasses, in + as in *
+    for operation in (
+        lambda: Q * True,
+        lambda: False * Q,
+        lambda: Q + True,
+        lambda: True + Q,
+    ):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            operation()
 
 
 def test_passing_relation_builds_no_decode_tables(monkeypatch):
