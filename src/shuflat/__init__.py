@@ -58,13 +58,11 @@ from .words import (
     DEFAULT_SIZE_CAP,
     DuplicateLetter,
     IndexOutOfRange,
-    IntervalShape,
     Letter,
     OrderViolation,
     SizeLimitExceeded,
     enumerate_shuffle_words,
     format_word,
-    interval_shape,
     parse_word,
     rank,
     shuffle_word_count,

@@ -25,8 +25,9 @@ it is done, a mirror pair once, with the cell reader it is given: a
 BivarPoly by default, or the cell's text or JSON terms written
 straight from its packed int, with no BivarPoly and no sort (shuflat
 series).  reciprocal_coefficient() decodes one cell and drops the
-other rows as soon as no later row reads them.  identities checks the
-M<->H substitution relations in the same layout.
+other rows as soon as no later row reads them; reciprocal_column()
+decodes one column the same way (the interval route).  identities
+checks the M<->H substitution relations in the same layout.
 """
 
 from __future__ import annotations
@@ -354,15 +355,38 @@ class TruncatedSeries2:
         reach and decodes one cell of the last.  The input contract is
         that of reciprocal(), on the corner.
         """
+        slots, column = self._packed_column(i, j)
+        return slots.decode(*column[-1])
+
+    def reciprocal_column(self, j) -> list:
+        """[reciprocal().coefficient(i, j) for i in 0..max_x], with only
+        those cells decoded, the recurrence run once on the corner
+        (max_x, j) as in reciprocal_coefficient()."""
+        slots, column = self._packed_column(self.max_x, j)
+        # one box that holds every cell's box, so its slots are listed once
+        box = tuple(map(max, zip(*[box for _, box in column])))
+        return [slots.decode(value, box) for value, _ in column]
+
+    def _packed_column(self, i, j):
+        """(slots, cells): the recurrence run on the corner (i, j), and
+        the packed (value, box) of S[0][j], ..., S[i][j].
+
+        If the rows run along x, cell j ends each row.  If they run along
+        y (i > j), column j is the last row.  Under a mirror the cells of
+        that row left of the diagonal may not be computed, and S[n][j] =
+        S[j][n] is cell j of row n instead.
+        """
         if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
             raise IndexError(f"cell ({i}, {j}) is outside the series")
         corner = TruncatedSeries2(i, j, [row[: j + 1] for row in self.coeff[: i + 1]])
-        slots, _, rows = corner._packed_rows()
-        for values, boxes in rows:  # run to the last row
-            pass
-        # the rows run along the longer side, so (i, j) ends the last row
-        last = max(i, j)
-        return slots.decode(values[last], boxes[last])
+        slots, mirror, rows = corner._packed_rows()
+        column = []
+        for values, boxes in rows:
+            column.append((values[j], boxes[j]))
+        if i > j:
+            first = j if mirror else 0
+            column[first:] = zip(values[first:], boxes[first:])
+        return slots, column
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.

@@ -16,9 +16,11 @@ Routes implemented:
   rank order, and checks the grading itself), and for H the census of
   bubble lower covers, which each word's letters give by kind;
 * the interval decomposition: M(q,t) = sum over words u of
-  (qt)^rank(u) times the product of factor characteristic polynomials
-  in t given by the interval shape of u, made once per class of words
-  with the same rank and the same multiset of shape pairs;
+  (qt)^rank(u) times the product of the factor characteristic
+  polynomials in t of the interval shape of u, the words counted per
+  shape by a generating function instead of one by one:
+  M = sum_j C(m,j) (qt)^(m-j-1) [x^j y^(n+1)] 1/(1 - qt y F) with
+  F = sum of ch(b,g)(t) x^b y^g, one column of a series reciprocal;
 * closed formulas: ch(q) = sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a),
   M(q,t) = sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a),
   H(q,t) = sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a);
@@ -43,8 +45,8 @@ from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
 from .poset import NoBottom, NotGraded, Poset, plane_put, plane_sum
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, series_reciprocal
-from .words import enumerate_shuffle_words, interval_shape, rank
+from .polyalg import ONE, Q, T, ZERO, BivarPoly, TruncatedSeries2, _powers, series_reciprocal
+from .words import check_size, enumerate_shuffle_words, rank
 
 #: Brute-force routes refuse lattices larger than this unless forced.
 BRUTE_SIZE_CAP = 4000
@@ -145,34 +147,49 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
 
 def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
-    """M-triangle via the interval decomposition of [u, top].
+    """M-triangle via the interval decomposition of [u, top], with the
+    words counted by a generating function instead of one by one.
 
-    Each word u contributes (qt)^rank(u) times the product, over its
-    interval shape, of factor characteristic polynomials evaluated in t.
-    That term depends only on the rank of u and on the multiset of its
-    (x_block, y_gap) pairs, so the words are counted per shape, the
-    shapes are folded into such classes, and each class's product is
-    made once.  The rank is m + y_count - (x-letters), read off the shape.
+    A word u with j x-letters (C(m, j) choices) and k y-letters has rank
+    m + k - j, and [u, top] is the product of the lattices
+    Shuf(b_i, g_i) over its x-blocks b_0..b_k, which sum to j, and its
+    y-gaps g_0..g_k, which sum to n - k; so u adds (qt)^(m+k-j) times
+    the product of the factor characteristic polynomials in t.  With
+    F = sum of ch(b, g)(t) x^b y^g over b <= m and g <= n, the words of
+    given (j, k) add C(m, j) (qt)^(m+k-j) [x^j y^(n-k)] F^(k+1), and the
+    sum over k is M = sum_j C(m, j) (qt)^(m-j-1) [x^j y^(n+1)] R with
+    R = 1 / (1 - qt y F).  Every y-power of R carries a factor qt, so the
+    j = m term divides exactly; a term that would not raises ValueError.
+
+    Column n + 1 of R is one run of the packed series recurrence
+    (TruncatedSeries2.reciprocal_column).  The route shares that
+    plumbing with the series route, and no M formula: besides it, the
+    route reads only the decomposition and the factors ch(b, g), from
+    char_poly_formula.  It reads no words, but keeps the word cap of its
+    ROUTES entry.
     """
-    shapes = {}
-    for u in enumerate_shuffle_words(m, n, size_cap):
-        shape = interval_shape(u, m, n)
-        shapes[shape] = shapes.get(shape, 0) + 1
-    classes = {}
-    for shape, count in shapes.items():
-        r = m + shape.y_count - sum(shape.x_blocks)
-        key = (r, tuple(sorted(zip(shape.x_blocks, shape.y_gaps))))
-        classes[key] = classes.get(key, 0) + count
-    used = {pair for _, pairs in classes for pair in pairs}
-    factors = {pair: char_poly_formula(*pair).swap_vars() for pair in used}
-    qt = Q * T
-    acc = BivarPoly()
-    for (r, pairs), count in classes.items():
-        term = qt**r
-        for pair in pairs:
-            term = term * factors[pair]
-        acc = acc + count * term
-    return acc
+    check_size(m, n, size_cap)
+    # 1 - qt y F: cell (b, g + 1) is -qt ch(b, g) with q and t swapped
+    grid = []
+    for b in range(m + 1):
+        row = [ZERO if b else ONE]
+        for g in range(n + 1):
+            cell = BivarPoly.__new__(BivarPoly)
+            cell._terms = {
+                (dt + 1, dq + 1): -c for (dq, dt), c in char_poly_formula(b, g)._terms.items()
+            }
+            row.append(cell)
+        grid.append(row)
+    column = TruncatedSeries2(m, n + 1, grid).reciprocal_column(n + 1)
+    terms = {}
+    for j, cell in enumerate(column):
+        c, shift = comb(m, j), m - j - 1
+        for (dq, dt), value in cell._terms.items():
+            key = (dq + shift, dt + shift)
+            if key[0] < 0 or key[1] < 0:
+                raise ValueError(f"(qt)^{shift} times q^{dq}*t^{dt} leaves a negative exponent")
+            terms[key] = terms.get(key, 0) + c * value
+    return BivarPoly(terms)
 
 
 def m_triangle_formula(m: int, n: int) -> BivarPoly:
@@ -338,10 +355,11 @@ def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
 
 # Every route, keyed by (kind, method) in the order the command line lists
 # them.  Each entry is (cap, route): route takes (m, n, size_cap), and cap
-# is the default size cap of a route that enumerates the lattice, None for
-# a route that reads no cap.  The routes name the route functions instead
-# of holding them, so a function replaced on this module (patched in a
-# test, wrapped by a tracer) is the one that runs.
+# is the default word cap of a route that enumerates the lattice, and of
+# interval, which reads no words but keeps it, None for a route that reads
+# no cap.  The routes name the route functions instead of holding them, so
+# a function replaced on this module (patched in a test, wrapped by a
+# tracer) is the one that runs.
 ROUTES = {
     ("mtriangle", "brute"): (BRUTE_SIZE_CAP, lambda m, n, cap: m_triangle_brute(m, n, cap)),
     ("mtriangle", "interval"): (BRUTE_SIZE_CAP, lambda m, n, cap: m_triangle_interval(m, n, cap)),

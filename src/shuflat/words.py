@@ -79,18 +79,6 @@ def letters(family, count):
     return tuple(Letter(family, i) for i in range(count + 2))
 
 
-class IntervalShape(namedtuple("IntervalShape", "y_count x_blocks y_gaps")):
-    """How a word splits the alphabets for the interval up to the top word.
-
-    ``y_count`` is the number of y-letters in the word.  Those letters cut
-    the full y-word into ``y_count + 1`` gaps; ``y_gaps[i]`` counts the
-    absent y-letters in gap ``i``.  They likewise cut the word's own
-    x-letters into blocks; ``x_blocks[i]`` is the size of block ``i``.
-    """
-
-    __slots__ = ()
-
-
 def validate(letters: Iterable, m: int, n: int) -> Word:
     """Check a raw letter sequence and return it as a shuffle word.
 
@@ -175,14 +163,6 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     return out
 
 
-def x_letters(word: Word) -> Word:
-    return tuple(letter for letter in word if letter.family == FAMILY_X)
-
-
-def y_letters(word: Word) -> Word:
-    return tuple(letter for letter in word if letter.family == FAMILY_Y)
-
-
 def rank(word: Word, m: int) -> int:
     """Lattice rank: (number of y-letters) + m - (number of x-letters)."""
     n_x = 0
@@ -190,41 +170,6 @@ def rank(word: Word, m: int) -> int:
         if letter.family == FAMILY_X:
             n_x += 1
     return (len(word) - n_x) + m - n_x
-
-
-def bottom_word(m: int) -> Word:
-    """The minimum element x1 x2 ... xm."""
-    return tuple(Letter(FAMILY_X, i) for i in range(1, m + 1))
-
-
-def top_word(n: int) -> Word:
-    """The maximum element y1 y2 ... yn."""
-    return tuple(Letter(FAMILY_Y, j) for j in range(1, n + 1))
-
-
-def interval_shape(u: Word, m: int, n: int) -> IntervalShape:
-    """Shape data (y_count, x_blocks, y_gaps) of the interval [u, top].
-
-    The y-letters of u, say y_{i_1} < ... < y_{i_k}, split the absent
-    y-indices into gaps counted by ``y_gaps`` (a gap is the run of
-    indices strictly between consecutive chosen ones, with 0 and n+1 as
-    virtual endpoints) and split the x-letters of u, in the order they
-    sit inside u, into blocks counted by ``x_blocks``.
-    """
-    x_blocks = []
-    y_gaps = []
-    block = below = 0
-    for letter in u:
-        if letter.family == FAMILY_Y:
-            x_blocks.append(block)
-            y_gaps.append(letter.index - below - 1)
-            block = 0
-            below = letter.index
-        else:
-            block += 1
-    x_blocks.append(block)
-    y_gaps.append(n - below)
-    return IntervalShape(len(y_gaps) - 1, tuple(x_blocks), tuple(y_gaps))
 
 
 _TOKEN = re.compile(r"([xy])(\d+)")

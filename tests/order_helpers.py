@@ -10,8 +10,15 @@ They also keep the product form of the M<->H substitution, the oracle of
 the packed-int check in ``shuflat.identities._substitution_verdict``, and
 the upper-cover census of the bubble order, the oracle of the per-word
 lower-cover counts in ``shuflat.lattices.degree_statistics``.
+
+``interval_shape`` reads the shape of [u, top] off one word: the oracle
+of the counting step of ``shuflat.triangles.m_triangle_interval``, which
+counts the words per shape by a generating function and reads no word.
+The word helpers below it (``x_letters``, ``y_letters``, ``bottom_word``
+and ``top_word``) serve only the tests.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
 from shuflat.lattices import (
@@ -22,14 +29,62 @@ from shuflat.lattices import (
 )
 from shuflat.polyalg import ONE, Q, BivarPoly
 from shuflat.poset import Poset, _bits, build_poset
-from shuflat.words import (
-    FAMILY_X,
-    FAMILY_Y,
-    Letter,
-    enumerate_shuffle_words,
-    interval_shape,
-    x_letters,
-)
+from shuflat.words import FAMILY_X, FAMILY_Y, Letter, Word, enumerate_shuffle_words
+
+
+class IntervalShape(namedtuple("IntervalShape", "y_count x_blocks y_gaps")):
+    """How a word splits the alphabets for the interval up to the top word.
+
+    ``y_count`` is the number of y-letters in the word.  Those letters cut
+    the full y-word into ``y_count + 1`` gaps; ``y_gaps[i]`` counts the
+    absent y-letters in gap ``i``.  They likewise cut the word's own
+    x-letters into blocks; ``x_blocks[i]`` is the size of block ``i``.
+    """
+
+    __slots__ = ()
+
+
+def interval_shape(u: Word, m: int, n: int) -> IntervalShape:
+    """Shape data (y_count, x_blocks, y_gaps) of the interval [u, top].
+
+    The y-letters of u, say y_{i_1} < ... < y_{i_k}, split the absent
+    y-indices into gaps counted by ``y_gaps`` (a gap is the run of
+    indices strictly between consecutive chosen ones, with 0 and n+1 as
+    virtual endpoints) and split the x-letters of u, in the order they
+    sit inside u, into blocks counted by ``x_blocks``.
+    """
+    x_blocks = []
+    y_gaps = []
+    block = below = 0
+    for letter in u:
+        if letter.family == FAMILY_Y:
+            x_blocks.append(block)
+            y_gaps.append(letter.index - below - 1)
+            block = 0
+            below = letter.index
+        else:
+            block += 1
+    x_blocks.append(block)
+    y_gaps.append(n - below)
+    return IntervalShape(len(y_gaps) - 1, tuple(x_blocks), tuple(y_gaps))
+
+
+def x_letters(word: Word) -> Word:
+    return tuple(letter for letter in word if letter.family == FAMILY_X)
+
+
+def y_letters(word: Word) -> Word:
+    return tuple(letter for letter in word if letter.family == FAMILY_Y)
+
+
+def bottom_word(m: int) -> Word:
+    """The minimum element x1 x2 ... xm."""
+    return tuple(Letter(FAMILY_X, i) for i in range(1, m + 1))
+
+
+def top_word(n: int) -> Word:
+    """The maximum element y1 y2 ... yn."""
+    return tuple(Letter(FAMILY_Y, j) for j in range(1, n + 1))
 
 
 def bucket_sum(buckets, mask: int) -> int:

@@ -14,6 +14,7 @@ from order_helpers import (
     interval_is_product,
     leq,
     mobius,
+    x_letters,
 )
 from shuflat import identities, triangles
 from shuflat.lattices import build_shuffle_lattice
@@ -36,7 +37,6 @@ from shuflat.words import (
     parse_word,
     rank,
     shuffle_word_count,
-    x_letters,
 )
 
 CORE = Q * T - T + 1

@@ -3,9 +3,11 @@ from math import comb
 import pytest
 
 from order_helpers import (
+    bottom_word,
     interval_decomposition_map,
     interval_is_product,
     mobius,
+    top_word,
     upper_cover_census,
 )
 from shuflat.lattices import (
@@ -19,11 +21,9 @@ from shuflat.lattices import (
 )
 from shuflat.words import (
     SizeLimitExceeded,
-    bottom_word,
     enumerate_shuffle_words,
     parse_word,
     rank,
-    top_word,
     validate,
 )
 

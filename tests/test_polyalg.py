@@ -480,11 +480,32 @@ def test_one_cell_reader_matches_recurrence_oracle(d):
             assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (2, 6), (4, 4)])
+def test_column_reader_matches_reciprocal(shape):
+    # symmetric: a column of a tall corner reads its cells left of the
+    # diagonal from the earlier rows
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), *shape)
+    full = d.reciprocal()
+    for n in range(shape[1] + 1):
+        assert d.reciprocal_column(n) == [full.coefficient(m, n) for m in range(shape[0] + 1)]
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(denominators(), symmetric_denominators()))
+def test_column_reader_matches_recurrence_oracle(d):
+    oracle = reciprocal_oracle(d)
+    for n in range(d.max_y + 1):
+        assert d.reciprocal_column(n) == [oracle.coefficient(m, n) for m in range(d.max_x + 1)]
+
+
 def test_one_cell_reader_rejects_cells_outside_the_series():
     d = TruncatedSeries2.from_terms(series_denominator_terms(), 2, 3)
     for cell in ((3, 0), (0, 4), (-1, 0)):
         with pytest.raises(IndexError):
             d.reciprocal_coefficient(*cell)
+    for column in (4, -1):
+        with pytest.raises(IndexError):
+            d.reciprocal_column(column)
 
 
 def counting_unpacks(monkeypatch, reader="decode"):

@@ -1,12 +1,14 @@
-"""The public record types: immutable named tuples with stable fields,
-reprs, order and JSON."""
+"""The record types: immutable named tuples with stable fields, reprs,
+order and JSON.  IntervalShape is the tests' own record, kept to the same
+rules."""
 
 import pytest
 
+from order_helpers import IntervalShape
 from shuflat.identities import IdentityVerdict
 from shuflat.lattices import KIND_INDEL, BubbleCover, DegreeTriple
 from shuflat.polyalg import Q, T
-from shuflat.words import IntervalShape, Letter, parse_word
+from shuflat.words import Letter, parse_word
 
 RECORDS = [
     (Letter("x", 1), ("family", "index")),

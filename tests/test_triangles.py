@@ -3,9 +3,11 @@ from math import comb
 
 import pytest
 
+from order_helpers import bottom_word, interval_shape, top_word
 from shuflat import cli, lattices, poset, triangles
 from shuflat.lattices import build_shuffle_lattice
-from shuflat.polyalg import ONE, Q, T, BivarPoly
+from shuflat.identities import run_methods_suite
+from shuflat.polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2
 from shuflat.poset import NoBottom, NotGraded, build_poset
 from shuflat.triangles import (
     CROSS_TERM_Q_MINUS_1,
@@ -24,15 +26,7 @@ from shuflat.triangles import (
     m_triangle_interval,
     rank_generating_poly,
 )
-from shuflat.words import (
-    SizeLimitExceeded,
-    bottom_word,
-    enumerate_shuffle_words,
-    interval_shape,
-    rank,
-    shuffle_word_count,
-    top_word,
-)
+from shuflat.words import SizeLimitExceeded, enumerate_shuffle_words, rank, shuffle_word_count
 
 CORE = Q * T - T + 1  # qt - t + 1
 M11 = BivarPoly({(2, 2): 1, (1, 2): -3, (0, 2): 2, (1, 1): 3, (0, 1): -3, (0, 0): 1})
@@ -231,10 +225,77 @@ def m_triangle_interval_per_word(m, n):
 
 
 def test_m_triangle_interval_matches_per_word_sum():
-    for m in range(6):
-        for n in range(6):
-            grouped = m_triangle_interval(m, n, size_cap=10**6)
-            assert grouped == m_triangle_interval_per_word(m, n), (m, n)
+    # every m, n <= 5, and every m + n <= 9
+    sizes = {(m, n) for m in range(10) for n in range(10) if m + n <= 9 or max(m, n) <= 5}
+    for m, n in sorted(sizes):
+        counted = m_triangle_interval(m, n, size_cap=10**6)
+        assert counted == m_triangle_interval_per_word(m, n), (m, n)
+
+
+# The recurrence runs on the corner (m, n + 1) with its rows along the
+# shorter side: along y when m > n + 1, along x otherwise.
+INTERVAL_SHAPES = {
+    "rows along y": [(2, 0), (3, 1), (5, 2), (6, 1), (8, 3)],
+    "rows along x, square corner": [(1, 0), (3, 2), (6, 5)],
+    "rows along x": [(1, 1), (2, 4), (3, 7)],
+    "edge (m, 0)": [(0, 0), (4, 0), (9, 0)],
+    "edge (0, n)": [(0, 1), (0, 4), (0, 9)],
+}
+
+
+@pytest.mark.parametrize("shape", list(INTERVAL_SHAPES))
+def test_m_triangle_interval_shapes(shape):
+    for m, n in INTERVAL_SHAPES[shape]:
+        counted = m_triangle_interval(m, n, size_cap=shuffle_word_count(m, n))
+        assert counted == m_triangle_formula(m, n), (m, n)
+        if m + n <= 9:
+            assert counted == m_triangle_interval_per_word(m, n), (m, n)
+
+
+def test_m_triangle_interval_frontier():
+    # sizes that no word-by-word route reaches; the cap is lifted to the
+    # word count, as the route reads no word
+    for m, n in ((7, 6), (10, 10)):
+        counted = m_triangle_interval(m, n, size_cap=shuffle_word_count(m, n))
+        assert counted == m_triangle_formula(m, n) == m_triangle_composition_sum(m, n), (m, n)
+
+
+def test_m_triangle_interval_reads_no_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the interval route enumerated words")
+
+    monkeypatch.setattr(triangles, "enumerate_shuffle_words", refuse)
+    assert m_triangle_interval(3, 3) == m_triangle_formula(3, 3)
+
+
+def test_m_triangle_interval_checks_the_division(monkeypatch):
+    # a constant in the j = m cell of the column is a y-power of R without
+    # the factor qt, which that term cannot divide out
+    original = TruncatedSeries2.reciprocal_column
+
+    def constant_in_column(self, j):
+        column = original(self, j)
+        column[-1] = column[-1] + 1
+        return column
+
+    monkeypatch.setattr(TruncatedSeries2, "reciprocal_column", constant_in_column)
+    with pytest.raises(ValueError, match="negative exponent"):
+        m_triangle_interval(1, 1)
+
+
+def test_brute_catches_a_wrong_interval_factor(monkeypatch):
+    # ch(1, 1) off by one, as the interval route reads it; had the patch
+    # no effect, the interval verdicts would all pass and this would fail
+    original = triangles.char_poly_formula
+
+    def wrong(m, n):
+        poly = original(m, n)
+        return poly + 1 if (m, n) == (1, 1) else poly
+
+    monkeypatch.setattr(triangles, "char_poly_formula", wrong)
+    verdicts = run_methods_suite(2, 2, series_max=2)
+    failed = {v.params for v in verdicts if v.name == "m-brute-vs-interval" and not v.passed}
+    assert failed == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_m_triangle_interval_matches_brute():

@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from order_helpers import bottom_word, interval_shape, top_word, x_letters, y_letters
 from shuflat.lattices import indel_successors
 from shuflat.words import (
     DuplicateLetter,
@@ -9,18 +10,13 @@ from shuflat.words import (
     Letter,
     OrderViolation,
     SizeLimitExceeded,
-    bottom_word,
     enumerate_shuffle_words,
     format_word,
-    interval_shape,
     letters,
     parse_word,
     rank,
     shuffle_word_count,
-    top_word,
     validate,
-    x_letters,
-    y_letters,
 )
 
 
