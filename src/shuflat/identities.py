@@ -8,9 +8,10 @@ of products of the factors f(eta_i, lambda_i) =
 
 with the closed form C(n+k, k) sum_l C(m+k, l+k) C(n+k+l, l) t^l.
 A suite reads every sum [x^m y^n] F^(k+1), F = sum f(e, l) x^e y^l,
-from one table of F, ..., F^(k+1) truncated at its bounds; the Vandermonde
-rewrite of the factor and the three-binomial sum that the double-counting
-proof reduces to ride along.
+off one reciprocal 1/(1 - qt y F), q marking the power of F, as in the
+interval route (polyalg.geometric_denominator); the Vandermonde rewrite
+of the factor and the three-binomial sum that the double-counting proof
+reduces to ride along.
 
 The two substitution relations tie the triangles together:
 
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import comb
 
 from . import triangles
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _extent, _powers, _shift_add, _Slots
+from .polyalg import ONE, Q, T, BivarPoly, _extent, _powers, _shift_add, _Slots, geometric_denominator
 from .words import check_size
 
 #: Default bound of the identity and relation checks, and of the
@@ -53,27 +54,33 @@ def _factor(eta_i, lambda_i, extra):
     return acc
 
 
-def _factor_powers(max_m, max_n, k, full_exponent):
-    """[F, ..., F^(k+1)] truncated at (max_m, max_n), F = sum f(e, l) x^e y^l
-    with extra = l if ``full_exponent`` else 0: cell (m, n) of F^(k+1) is
-    the composition-pair sum at (m, n, k)."""
-    grid = [
-        [_factor(e, l, l if full_exponent else 0) for l in range(max_n + 1)]
-        for e in range(max_m + 1)
-    ]
-    series = TruncatedSeries2(max_m, max_n, grid)
-    return _powers(series, series, k)
+def _factor_series(max_m, max_n, max_k, full_exponent):
+    """1 - qt y F truncated at (max_m, max_n + max_k + 1), F = sum f(e, l)
+    x^e y^l over l <= max_n, extra = l if ``full_exponent`` else 0.  The
+    sum at (m, n, k) is the _power_part of cell (m, n+k+1) of its
+    reciprocal; that part reads no cell of F with y-degree above n."""
+    factors = [[_factor(e, l, l if full_exponent else 0) for l in range(max_n + 1)]
+               for e in range(max_m + 1)]
+    return geometric_denominator(factors, max_n + max_k + 1)
+
+
+def _power_part(cell, k) -> BivarPoly:
+    """[x^m y^n] F^(k+1) from cell (m, n+k+1) of 1/(1 - qt y F): its
+    q^(k+1) part, (qt)^(k+1) times that sum, with t shifted down by k+1."""
+    part = BivarPoly.__new__(BivarPoly)
+    part._terms = {(0, dt - k - 1): c for (dq, dt), c in cell._terms.items() if dq == k + 1}
+    return part
 
 
 def inner_sum_lhs(m, n, k) -> BivarPoly:
     """Composition-pair sum of factor products (polynomial in t), as the
     coefficient [x^m y^n] F^(k+1) with F = sum f(e, l) x^e y^l."""
-    return _factor_powers(m, n, k, False)[k].coefficient(m, n)
+    return _power_part(_factor_series(m, n, k, False).reciprocal_coefficient(m, n + k + 1), k)
 
 
 def inner_sum_lhs_full_exponent(m, n, k) -> BivarPoly:
     """Same sum with the (t+1)^(eta_i + lambda_i - a) factor variant."""
-    return _factor_powers(m, n, k, True)[k].coefficient(m, n)
+    return _power_part(_factor_series(m, n, k, True).reciprocal_coefficient(m, n + k + 1), k)
 
 
 def inner_sum_rhs(m, n, k) -> BivarPoly:
@@ -220,13 +227,13 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
     """The composition identity on its stated ranges, plus the
     Vandermonde factor rewrite, the three-binomial sum, and the
     prefactor variant."""
-    powers = _factor_powers(max_m, max_n, max_k, False)
-    full = _factor_powers(min(max_m, 5), min(max_n, 5), min(max_k, 3), True)
+    powers = _factor_series(max_m, max_n, max_k, False).reciprocal()
+    full = _factor_series(min(max_m, 5), min(max_n, 5), min(max_k, 3), True).reciprocal()
     verdicts = [
         _first_failure(
             "composition-identity",
             (m, n, k),
-            [("", powers[k].coefficient(m, n), inner_sum_rhs(m, n, k))],
+            [("", _power_part(powers.coefficient(m, n + k + 1), k), inner_sum_rhs(m, n, k))],
         )
         for m in range(max_m + 1)
         for n in range(max_n + 1)
@@ -255,8 +262,8 @@ def run_identities_suite(max_m=FORMULA_BOUND, max_n=FORMULA_BOUND, max_k=4):
             (
                 (
                     f"at {(m, n, k)}",
-                    full[k].coefficient(m, n),
-                    (T + 1) ** n * powers[k].coefficient(m, n),
+                    _power_part(full.coefficient(m, n + k + 1), k),
+                    (T + 1) ** n * _power_part(powers.coefficient(m, n + k + 1), k),
                 )
                 for m in range(min(max_m, 5) + 1)
                 for n in range(min(max_n, 5) + 1)

@@ -26,8 +26,9 @@ BivarPoly by default, or the cell's text or JSON terms written
 straight from its packed int, with no BivarPoly and no sort (shuflat
 series).  reciprocal_coefficient() decodes one cell and drops the
 other rows as soon as no later row reads them; reciprocal_column()
-decodes one column the same way (the interval route).  identities
-checks the M<->H substitution relations in the same layout.
+decodes one column the same way.  geometric_denominator() builds the
+1 - qt y F that the interval route and the composition identity invert;
+identities checks the M<->H substitution relations in the same layout.
 """
 
 from __future__ import annotations
@@ -282,35 +283,6 @@ class TruncatedSeries2:
 
     def coefficient(self, i, j) -> BivarPoly:
         return self.coeff[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        return (
-            self.max_x == other.max_x
-            and self.max_y == other.max_y
-            and self.coeff == other.coeff
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        max_x = min(self.max_x, other.max_x)
-        max_y = min(self.max_y, other.max_y)
-        coeff = []
-        for i in range(max_x + 1):
-            row = []
-            for j in range(max_y + 1):
-                acc = ZERO
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        part = self.coeff[a][b]
-                        other_part = other.coeff[i - a][j - b]
-                        if part and other_part:
-                            acc = acc + part * other_part
-                row.append(acc)
-            coeff.append(row)
-        return TruncatedSeries2(max_x, max_y, coeff)
 
     def reciprocal(self, reader="decode") -> "TruncatedSeries2":
         """The series S with self * S = 1 up to the truncation order.
@@ -658,6 +630,23 @@ class _Slots:
             max(slots) + 1,  # the slot after the last one read
         )
         return read
+
+
+def geometric_denominator(factors, max_y) -> TruncatedSeries2:
+    """1 - qt y F truncated at (len(factors) - 1, max_y), F = sum
+    factors[b][g] x^b y^g over rows at most max_y long, each factor a
+    polynomial in t alone; cell (b, g + 1), -qt factors[b][g], is made in
+    one pass.  The reciprocal is sum_j (qt y F)^j, so the q-degree of a
+    term is the power of F it comes from."""
+    grid = []
+    for b, row in enumerate(factors):
+        cells = [ZERO if b else ONE]
+        for factor in row:
+            cell = BivarPoly.__new__(BivarPoly)
+            cell._terms = {(1, dt + 1): -c for (_, dt), c in factor._terms.items()}
+            cells.append(cell)
+        grid.append(cells + [ZERO] * (max_y - len(row)))
+    return TruncatedSeries2(len(factors) - 1, max_y, grid)
 
 
 def series_reciprocal(terms, max_x, max_y, reader="decode") -> TruncatedSeries2:

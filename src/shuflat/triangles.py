@@ -19,8 +19,9 @@ Routes implemented:
   (qt)^rank(u) times the product of the factor characteristic
   polynomials in t of the interval shape of u, the words counted per
   shape by a generating function instead of one by one:
-  M = sum_j C(m,j) (qt)^(m-j-1) [x^j y^(n+1)] 1/(1 - qt y F) with
-  F = sum of ch(b,g)(t) x^b y^g, one column of a series reciprocal;
+  M = sum_j C(m,j) (qt)^(m-j-1) [x^j y^(n+1)] R, one column of the
+  series R = 1/(1 - qt y F), F = sum of ch(b,g)(t) x^b y^g, whose
+  denominator polyalg.geometric_denominator builds;
 * closed formulas: ch(q) = sum_a C(m,a) C(n,a) (-q)^a (1-q)^(m+n-a),
   M(q,t) = sum_a C(m,a) C(n,a) t^a (1-t)^a (q-1)^a (qt-t+1)^(m+n-2a),
   H(q,t) = sum_a C(m,a) C(n,a) q^a (qt+1)^(m+n-2a);
@@ -45,7 +46,7 @@ from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
 from .poset import NoBottom, NotGraded, Poset, plane_put, plane_sum
-from .polyalg import ONE, Q, T, ZERO, BivarPoly, TruncatedSeries2, _powers, series_reciprocal
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator, series_reciprocal
 from .words import check_size, enumerate_shuffle_words, rank
 
 #: Brute-force routes refuse lattices larger than this unless forced.
@@ -161,26 +162,17 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     R = 1 / (1 - qt y F).  Every y-power of R carries a factor qt, so the
     j = m term divides exactly; a term that would not raises ValueError.
 
-    Column n + 1 of R is one run of the packed series recurrence
-    (TruncatedSeries2.reciprocal_column).  The route shares that
+    The composition identity's builder, polyalg.geometric_denominator,
+    makes 1 - qt y F; column n + 1 of R is one run of the packed series
+    recurrence (TruncatedSeries2.reciprocal_column).  The route shares that
     plumbing with the series route, and no M formula: besides it, the
     route reads only the decomposition and the factors ch(b, g), from
     char_poly_formula.  It reads no words, but keeps the word cap of its
     ROUTES entry.
     """
     check_size(m, n, size_cap)
-    # 1 - qt y F: cell (b, g + 1) is -qt ch(b, g) with q and t swapped
-    grid = []
-    for b in range(m + 1):
-        row = [ZERO if b else ONE]
-        for g in range(n + 1):
-            cell = BivarPoly.__new__(BivarPoly)
-            cell._terms = {
-                (dt + 1, dq + 1): -c for (dq, dt), c in char_poly_formula(b, g)._terms.items()
-            }
-            row.append(cell)
-        grid.append(row)
-    column = TruncatedSeries2(m, n + 1, grid).reciprocal_column(n + 1)
+    factors = [[char_poly_formula(b, g).swap_vars() for g in range(n + 1)] for b in range(m + 1)]
+    column = geometric_denominator(factors, n + 1).reciprocal_column(n + 1)
     terms = {}
     for j, cell in enumerate(column):
         c, shift = comb(m, j), m - j - 1

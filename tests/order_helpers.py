@@ -7,9 +7,11 @@ block-splitting map between them is checked to be an order isomorphism.
 Each function takes the Poset it reads as its first argument.
 
 They also keep the product form of the M<->H substitution, the oracle of
-the packed-int check in ``shuflat.identities._substitution_verdict``, and
+the packed-int check in ``shuflat.identities._substitution_verdict``,
 the upper-cover census of the bubble order, the oracle of the per-word
-lower-cover counts in ``shuflat.lattices.degree_statistics``.
+lower-cover counts in ``shuflat.lattices.degree_statistics``, and the
+product of two truncated series, which checks that a reciprocal
+multiplies back to one.
 
 ``interval_shape`` reads the shape of [u, top] off one word: the oracle
 of the counting step of ``shuflat.triangles.m_triangle_interval``, which
@@ -27,7 +29,7 @@ from shuflat.lattices import (
     _bubble_covers_above,
     build_shuffle_lattice,
 )
-from shuflat.polyalg import ONE, Q, BivarPoly
+from shuflat.polyalg import ONE, Q, ZERO, BivarPoly, TruncatedSeries2
 from shuflat.poset import Poset, _bits, build_poset
 from shuflat.words import FAMILY_X, FAMILY_Y, Letter, Word, enumerate_shuffle_words
 
@@ -275,6 +277,19 @@ def substitution_sides(m, n, h, target, a, b, c):
     for (i, j), coeff in h.terms():
         rhs = rhs + coeff * a_pow[i] * b_pow[j] * q1_pow[d + i - j] * c_pow[d - i]
     return q1_pow[d] * target, rhs
+
+
+def series_product(a, b):
+    """a * b truncated at the smaller of their orders, cell by cell as
+    the sum of a[i][j] * b[m-i][n-j]."""
+    max_x, max_y = min(a.max_x, b.max_x), min(a.max_y, b.max_y)
+    coeff = [[ZERO] * (max_y + 1) for _ in range(max_x + 1)]
+    for m in range(max_x + 1):
+        for n in range(max_y + 1):
+            for i in range(m + 1):
+                for j in range(n + 1):
+                    coeff[m][n] = coeff[m][n] + a.coeff[i][j] * b.coeff[m - i][n - j]
+    return TruncatedSeries2(max_x, max_y, coeff)
 
 
 def upper_cover_census(m, n):

@@ -63,10 +63,10 @@ def _literal_composition_pair_sum(m, n, k, factor):
 
 
 def test_composition_sums_match_literal_pair_sum():
-    # every cell of one suite-sized table, for both factor variants, and
-    # the one-cell reads of the same table
+    # every sum of one suite-sized reciprocal, for both factor variants,
+    # and the one-cell reads of the same sums
     for full, one_cell in ((False, inner_sum_lhs), (True, inner_sum_lhs_full_exponent)):
-        table = identities._factor_powers(4, 4, 3, full)
+        table = identities._factor_series(4, 4, 3, full).reciprocal()
 
         def factor(e, l):
             return identities._factor(e, l, l if full else 0)
@@ -75,8 +75,51 @@ def test_composition_sums_match_literal_pair_sum():
             for n in range(5):
                 for k in range(4):
                     literal = _literal_composition_pair_sum(m, n, k, factor)
-                    assert table[k].coefficient(m, n) == literal, (full, m, n, k)
+                    cell = table.coefficient(m, n + k + 1)
+                    assert identities._power_part(cell, k) == literal, (full, m, n, k)
                     assert one_cell(m, n, k) == literal, (full, m, n, k)
+
+
+def test_wrong_last_factor_column_fails_exactly_where_it_is_read(monkeypatch):
+    # F gains 1 at (1, max_n): [x^m y^n] F^(k+1) moves only at n = max_n,
+    # m >= 1, and at k = 0 only at m = 1.  A table that dropped F's last
+    # column would fail at m = 0 too, and one that ignored it nowhere.
+    max_m, max_n, max_k = 3, 2, 2
+    original = identities._factor
+
+    def faulty(e, l, extra):
+        value = original(e, l, extra)
+        return value + 1 if (e, l, extra) == (1, max_n, 0) else value
+
+    monkeypatch.setattr(identities, "_factor", faulty)
+    failed = {
+        v.params
+        for v in run_identities_suite(max_m, max_n, max_k)
+        if v.name == "composition-identity" and not v.passed
+    }
+    expected = {(1, max_n, 0)} | {
+        (m, max_n, k) for m in range(1, max_m + 1) for k in range(1, max_k + 1)
+    }
+    assert failed == expected
+    assert (max_m, max_n, max_k) in failed
+
+
+def test_identities_suite_verdict_labels():
+    def labels(*bounds):
+        return [(v.name, v.params) for v in run_identities_suite(*bounds)]
+
+    assert labels(0, 0) == [
+        *(("composition-identity", (0, 0, k)) for k in range(5)),
+        ("vandermonde-factor", (8, 8)),
+        ("three-binomial-sum", (0, 0, 4)),
+        ("prefactor-identity", (5, 5, 3)),
+    ]
+    assert labels(2, 1, 0) == [
+        *(("composition-identity", (m, n, 0)) for m in range(3) for n in range(2)),
+        ("vandermonde-factor", (8, 8)),
+        ("three-binomial-sum", (2, 1, 0)),
+        ("prefactor-identity", (5, 5, 3)),
+    ]
 
 
 def test_vandermonde_step():
@@ -301,18 +344,19 @@ def test_methods_suite_small():
 
 
 def test_prefactor_identity_reports_first_failure(monkeypatch):
-    original = identities._factor_powers
+    original = identities._factor_series
     expected = inner_sum_lhs_full_exponent(1, 0, 0) + 1
 
-    def faulty(max_m, max_n, k, full_exponent):
-        # perturb cells (1, 0, 0) and (3, 2, 1) of the full-exponent table
-        powers = original(max_m, max_n, k, full_exponent)
+    def faulty(max_m, max_n, max_k, full_exponent):
+        # in the full-exponent series only, F gains 1 at (1, 0) and (3, 2):
+        # cells (1, 1) and (3, 3) of 1 - qt y F lose qt
+        series = original(max_m, max_n, max_k, full_exponent)
         if full_exponent:
-            for m, n, kk in ((1, 0, 0), (3, 2, 1)):
-                powers[kk].coeff[m][n] = powers[kk].coeff[m][n] + 1
-        return powers
+            for e, l in ((1, 0), (3, 2)):
+                series.coeff[e][l + 1] = series.coeff[e][l + 1] - Q * T
+        return series
 
-    monkeypatch.setattr(identities, "_factor_powers", faulty)
+    monkeypatch.setattr(identities, "_factor_series", faulty)
     verdicts = run_identities_suite(3, 2, 1)
     verdict = next(v for v in verdicts if v.name == "prefactor-identity")
     assert not verdict.passed

@@ -6,6 +6,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from order_helpers import series_product
 from shuflat import cli, identities, polyalg
 from shuflat.polyalg import (
     ONE,
@@ -220,7 +221,7 @@ def test_series_reciprocal_multiplies_back_to_one():
         (1, 1): core * core - T * (ONE - T) * (Q - 1),
     }
     d = TruncatedSeries2.from_terms(terms, 4, 4)
-    product = d * d.reciprocal()
+    product = series_product(d, d.reciprocal())
     for i in range(5):
         for j in range(5):
             assert product.coefficient(i, j) == (ONE if i == j == 0 else ZERO)
@@ -248,6 +249,11 @@ def test_series_requires_unit_constant():
         series_reciprocal({(0, 0): BivarPoly.constant(2)}, 1, 1)
     with pytest.raises(NonUnitConstantTerm):
         series_reciprocal({(1, 0): ONE}, 1, 1)
+
+
+def grid(series):
+    """A series's shape and cells, for comparing two series."""
+    return series.max_x, series.max_y, series.coeff
 
 
 def reciprocal_oracle(series):
@@ -308,13 +314,13 @@ def denominators(draw):
 @SETTINGS
 @hypothesis.given(denominators())
 def test_reciprocal_matches_recurrence_oracle(d):
-    assert d.reciprocal() == reciprocal_oracle(d)
+    assert grid(d.reciprocal()) == grid(reciprocal_oracle(d))
 
 
 @pytest.mark.parametrize("variant", [CROSS_TERM_Q_MINUS_1, CROSS_TERM_Q_PLUS_1])
 def test_series_denominators_match_recurrence_oracle(variant):
     d = TruncatedSeries2.from_terms(series_denominator_terms(variant), 12, 12)
-    assert d.reciprocal() == reciprocal_oracle(d)
+    assert grid(d.reciprocal()) == grid(reciprocal_oracle(d))
 
 
 def test_negated_variable_denominator_matches_recurrence_oracle():
@@ -327,7 +333,7 @@ def test_negated_variable_denominator_matches_recurrence_oracle():
         (1, 1): core * core - T * (T + 1) * (Q + 1),
     }
     d = TruncatedSeries2.from_terms(terms, 8, 8)
-    assert d.reciprocal() == reciprocal_oracle(d)
+    assert grid(d.reciprocal()) == grid(reciprocal_oracle(d))
 
 
 def test_reciprocal_reads_raw_int_cells_as_constants():
@@ -380,7 +386,7 @@ def test_symmetric_denominator_reciprocal_matches_recurrence_oracle(d):
     # the recurrence computes a symmetric denominator's cells on one side
     # of the diagonal only; the oracle computes every cell
     oracle = reciprocal_oracle(d)
-    assert d.reciprocal() == oracle
+    assert grid(d.reciprocal()) == grid(oracle)
     for m in range(d.max_x + 1):
         for n in range(d.max_y + 1):
             assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
@@ -409,11 +415,11 @@ def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
     assert s.coefficient(1, 0) is s.coefficient(0, 1)
     assert s.coefficient(2, 1) is s.coefficient(1, 2)
     # rows 3 and 4 lie below the square and are unpacked
-    assert s == reciprocal_oracle(d)
+    assert grid(s) == grid(reciprocal_oracle(d))
     lopsided = TruncatedSeries2.from_terms({(0, 0): ONE, (1, 0): -ONE, (0, 1): -Q}, 2, 2)
     r = lopsided.reciprocal()
     assert r.coefficient(1, 0) == ONE and r.coefficient(0, 1) == Q
-    assert r == reciprocal_oracle(lopsided)
+    assert grid(r) == grid(reciprocal_oracle(lopsided))
 
 
 def assert_boxes_symmetric_on_the_square(d):
