@@ -7,12 +7,12 @@ up-set iteration cheap even for a few thousand elements.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
 mu(a, v) = -sum of mu(a, r) over a <= r < v, taken over the up-set of a
-in rank order.  Each sum is read from signed bit planes: a pair of lists
-(pos, neg) where bit i of pos[b] (neg[b]) says that element i carries a
-positive (negative) value with bit b set in its magnitude.  The sum of
-the values under a mask is then
-sum over b of 2^b (|pos[b] & mask| - |neg[b] & mask|), one popcount per
-plane, however many distinct values there are (``plane_sum``).
+in rank order.  Each sum is read from signed bit planes: a dict that maps
+the weight 2^b (-2^b) to the plane whose bit i says that element i
+carries a positive (negative) value with bit b set in its magnitude.
+Only nonzero planes are held.  The sum of the values under a mask is
+then the sum of weight * |plane & mask| over the planes, one popcount
+per plane, however many distinct values there are (``plane_sum``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Poset:
     def _mobius_row(self, a: int):
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order."""
         down = self._down
-        planes = ([1 << a], [])
+        planes = {1: 1 << a}
         out = [(a, 1)]
         for v in self.up_set(a):
             if v == a:
@@ -68,31 +68,48 @@ class Poset:
 
 
 def plane_sum(planes, mask: int) -> int:
-    """Sum of the values held in the signed bit planes (pos, neg) over
-    the elements in ``mask``."""
-    pos, neg = planes
+    """Sum of the values held in the signed bit planes over the elements
+    in ``mask``."""
     total = 0
-    for b, plane in enumerate(pos):
-        total += (plane & mask).bit_count() << b
-    for b, plane in enumerate(neg):
-        total -= (plane & mask).bit_count() << b
+    for weight, plane in planes.items():
+        total += (plane & mask).bit_count() * weight
     return total
 
 
 def plane_put(planes, value: int, bit: int) -> None:
     """Record ``value`` at the element ``bit`` (a one-bit mask) in the
-    signed bit planes (pos, neg); the element must hold no value yet."""
-    side = planes[0] if value > 0 else planes[1]
+    signed bit planes; the element must hold no value yet."""
+    weight = 1 if value > 0 else -1
     magnitude = abs(value)
-    short = magnitude.bit_length() - len(side)
-    if short > 0:
-        side.extend([0] * short)
-    b = 0
     while magnitude:
         if magnitude & 1:
-            side[b] |= bit
+            planes[weight] = planes.get(weight, 0) | bit
         magnitude >>= 1
-        b += 1
+        weight <<= 1
+
+
+def plane_put_run(planes, values, shift: int) -> None:
+    """Record values[i] at the element i + shift, for every i, in the
+    signed bit planes; the elements must hold no value yet.
+
+    The run is transposed first: its elements are grouped by value, each
+    group joins the row of every bit of its value, and each row is ORed
+    into its plane once, so the cost follows the run's nonzero bits."""
+    groups = {}
+    for i, value in enumerate(values):
+        if value:
+            groups[value] = groups.get(value, 0) | 1 << i
+    rows = {}
+    for value, members in groups.items():
+        weight = 1 if value > 0 else -1
+        magnitude = abs(value)
+        while magnitude:
+            if magnitude & 1:
+                rows[weight] = rows.get(weight, 0) | members
+            magnitude >>= 1
+            weight <<= 1
+    for weight, row in rows.items():
+        planes[weight] = planes.get(weight, 0) | row << shift
 
 
 def _bits(mask: int):

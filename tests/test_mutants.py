@@ -37,6 +37,26 @@ MUTANTS = [
         "if dq == k + 1 and dt < 9}",
         {"composition-identity", "prefactor-identity"},
     ),
+    # brute M's level writer moves the fourth element of every run one
+    # place up
+    (
+        "poset.py",
+        "groups.get(value, 0) | 1 << i",
+        "groups.get(value, 0) | 1 << i + int(i == 3)",
+        {
+            "m-brute-vs-interval",
+            "m-brute-vs-formula",
+            "m-brute-vs-compsum",
+            "series-cross-term-adjudication",
+        },
+    ),
+    # brute ch's Mobius row is off by one at element 5
+    (
+        "poset.py",
+        "total = plane_sum(planes, down[v])",
+        "total = plane_sum(planes, down[v]) + int(v == 5)",
+        {"ch-brute-vs-formula"},
+    ),
 ]
 
 

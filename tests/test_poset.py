@@ -14,7 +14,7 @@ from order_helpers import (
     mobius,
 )
 from shuflat.lattices import build_shuffle_lattice
-from shuflat.poset import CycleDetected, NotGraded, build_poset, plane_put, plane_sum
+from shuflat.poset import CycleDetected, NotGraded, build_poset, plane_put, plane_put_run, plane_sum
 
 
 def chain(length):
@@ -210,7 +210,7 @@ def test_plane_sum_matches_bucket_sum(values, mask, offset):
     # element i holds values[i]; the planes index it from ``offset``, the
     # first element of a rank window, and see the mask shifted to match
     buckets = {}
-    planes = ([], [])
+    planes = {}
     for i, value in enumerate(values):
         if value:
             buckets[value] = buckets.get(value, 0) | 1 << i
@@ -218,7 +218,31 @@ def test_plane_sum_matches_bucket_sum(values, mask, offset):
             plane_put(planes, value, 1 << (i - offset))
     window = mask >> offset << offset
     assert plane_sum(planes, mask >> offset) == bucket_sum(buckets, window)
-    whole = ([], [])
+    whole = {}
     for i, value in enumerate(values):
         plane_put(whole, value, 1 << i)
     assert plane_sum(whole, mask) == bucket_sum(buckets, mask)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(plane_values, max_size=20),
+    st.lists(plane_values, max_size=40),
+    st.integers(0, 3),
+    st.integers(0, 2**70 - 1),
+)
+def test_plane_put_run_matches_bucket_sum(held, run, gap, mask):
+    # the planes already hold ``held`` at elements 0.., and the run is
+    # written ``gap`` elements past them, as a rank level is written past
+    # the levels below it
+    buckets = {}
+    planes = {}
+    shift = len(held) + gap
+    for i, value in enumerate(held):
+        plane_put(planes, value, 1 << i)
+    plane_put_run(planes, run, shift)
+    for i, value in enumerate(held + [0] * gap + run):
+        if value:
+            buckets[value] = buckets.get(value, 0) | 1 << i
+    assert plane_sum(planes, mask) == bucket_sum(buckets, mask)
+    assert all(planes.values())  # no zero value makes a plane

@@ -1,4 +1,5 @@
 import os
+import random
 from math import comb
 
 import pytest
@@ -154,6 +155,39 @@ def test_m_triangle_brute_checks_rank_zero_at_the_bottom(monkeypatch):
     monkeypatch.setattr(triangles, "rank", lambda word, m: rank(word, m) + 1)
     with pytest.raises(NotGraded, match="no lower cover but rank 1"):
         m_triangle_brute(1, 1)
+
+
+def test_m_triangle_brute_refuses_a_cover_inside_a_level(monkeypatch):
+    # a level reads all its sums before it writes, so a cover between two
+    # words of one rank would be skipped silently if it were not checked
+    words = [w for w in enumerate_shuffle_words(2, 2) if rank(w, 2) == 2]
+    original = triangles.indel_successors
+
+    def successors(u, m, n):
+        out = original(u, m, n)
+        if u == words[0]:
+            out.append(words[-1])
+        return out
+
+    monkeypatch.setattr(triangles, "indel_successors", successors)
+    with pytest.raises(NotGraded, match=r"spans ranks 2\.\.2"):
+        m_triangle_brute(2, 2)
+
+
+def test_m_triangle_brute_ignores_the_word_order(monkeypatch):
+    # the levels are read from the ranks, not from the enumeration order
+    expected = {mn: m_triangle_brute(*mn) for mn in ((3, 3), (4, 3))}
+    original = triangles.enumerate_shuffle_words
+    shuffler = random.Random(28)
+
+    def shuffled(m, n, size_cap):
+        words = list(original(m, n, size_cap))
+        shuffler.shuffle(words)
+        return words
+
+    monkeypatch.setattr(triangles, "enumerate_shuffle_words", shuffled)
+    for mn, m_triangle in expected.items():
+        assert m_triangle_brute(*mn) == m_triangle == m_triangle_formula(*mn), mn
 
 
 def test_m_triangle_brute_builds_no_poset(monkeypatch):
