@@ -8,7 +8,7 @@
 #
 # so a truncated series reciprocal recovers every M_{m,n} at once.
 
-from shuflat.polyalg import ONE, Q, T, series_reciprocal
+from shuflat.polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2
 from shuflat.triangles import (
     adjudicate_series_cross_term,
     m_series,
@@ -53,9 +53,16 @@ neg_terms = {
     (0, 1): -neg_core,
     (1, 1): neg_core * neg_core - T * (T + 1) * (Q + 1),
 }
-neg_series = series_reciprocal(neg_terms, 3, 3)
+neg_series = TruncatedSeries2.from_terms(neg_terms, 3, 3).reciprocal()
+
+
+def negated(p):
+    """p(-q, -t): the sign of each term flips with its total degree."""
+    return BivarPoly({(dq, dt): -c if (dq + dt) & 1 else c for (dq, dt), c in p.terms()})
+
+
 ok = all(
-    neg_series.coefficient(i, j) == m_triangle_formula(i, j).negate_vars()
+    neg_series.coefficient(i, j) == negated(m_triangle_formula(i, j))
     for i in range(4)
     for j in range(4)
 )

@@ -22,7 +22,6 @@ from .polyalg import (
     BivarPoly,
     NonUnitConstantTerm,
     TruncatedSeries2,
-    series_reciprocal,
 )
 from .poset import (
     CycleDetected,

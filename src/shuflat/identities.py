@@ -57,8 +57,8 @@ def _factor(eta_i, lambda_i, extra):
 def _factor_series(max_m, max_n, max_k, full_exponent):
     """1 - qt y F truncated at (max_m, max_n + max_k + 1), F = sum f(e, l)
     x^e y^l over l <= max_n, extra = l if ``full_exponent`` else 0.  The
-    sum at (m, n, k) is the _power_part of cell (m, n+k+1) of its
-    reciprocal; that part reads no cell of F with y-degree above n."""
+    sum at (m, n, k) is the _power_part of the last cell (m, n+k+1) of
+    its reciprocal; that part reads no cell of F with y-degree above n."""
     factors = [[_factor(e, l, l if full_exponent else 0) for l in range(max_n + 1)]
                for e in range(max_m + 1)]
     return geometric_denominator(factors, max_n + max_k + 1)
@@ -75,12 +75,12 @@ def _power_part(cell, k) -> BivarPoly:
 def inner_sum_lhs(m, n, k) -> BivarPoly:
     """Composition-pair sum of factor products (polynomial in t), as the
     coefficient [x^m y^n] F^(k+1) with F = sum f(e, l) x^e y^l."""
-    return _power_part(_factor_series(m, n, k, False).reciprocal_coefficient(m, n + k + 1), k)
+    return _power_part(_factor_series(m, n, k, False).reciprocal_coefficient(), k)
 
 
 def inner_sum_lhs_full_exponent(m, n, k) -> BivarPoly:
     """Same sum with the (t+1)^(eta_i + lambda_i - a) factor variant."""
-    return _power_part(_factor_series(m, n, k, True).reciprocal_coefficient(m, n + k + 1), k)
+    return _power_part(_factor_series(m, n, k, True).reciprocal_coefficient(), k)
 
 
 def inner_sum_rhs(m, n, k) -> BivarPoly:

@@ -15,18 +15,19 @@ triangular recurrence and is the workhorse for extracting polynomial
 families from rational generating functions.
 
 The reciprocal runs that recurrence on plain ints, every cell replaced
-by its value at one evaluation point.  TruncatedSeries2._packed_rows
-states how the cells are bounded, why the rows run along the shorter
-side and which cells a symmetric denominator leaves out; _Slots states
-the slot layout that the bounds set.
+by its value at one evaluation point, its rows along x; a tall series
+goes through its transpose.  TruncatedSeries2._packed_rows states how
+the cells are bounded, and which cells a denominator symmetric on the
+square leaves out when the rows are no longer than the columns; _Slots
+states the slot layout that the bounds set.
 
 One recurrence serves every reader.  reciprocal() reads every row as
 it is done, a mirror pair once, with the cell reader it is given: a
 BivarPoly by default, or the cell's text or JSON terms written
 straight from its packed int, with no BivarPoly and no sort (shuflat
-series).  reciprocal_coefficient() decodes one cell and drops the
-other rows as soon as no later row reads them; reciprocal_column()
-decodes one column the same way.  geometric_denominator() builds the
+series).  reciprocal_coefficient() decodes the last cell alone, and
+reciprocal_column() the last column, each dropping the other rows as
+soon as no later row reads them.  geometric_denominator() builds the
 1 - qt y F that the interval route and the composition identity invert;
 identities checks the M<->H substitution relations in the same layout.
 """
@@ -104,7 +105,8 @@ class BivarPoly:
         return self._terms.get((dq, dt), 0)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        # a bool is no int here (BivarPoly refuses it), so it compares unequal
+        if type(other) is int:
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
@@ -190,15 +192,6 @@ class BivarPoly:
 
     # -- substitutions and evaluation -----------------------------------
 
-    def negate_vars(self):
-        """Substitute q -> -q and t -> -t (an involution)."""
-        out = BivarPoly.__new__(BivarPoly)
-        out._terms = {
-            key: (-coeff if (key[0] + key[1]) & 1 else coeff)
-            for key, coeff in self._terms.items()
-        }
-        return out
-
     def swap_vars(self):
         """Exchange the roles of q and t."""
         out = BivarPoly.__new__(BivarPoly)
@@ -206,7 +199,9 @@ class BivarPoly:
         return out
 
     def subs_q(self, value):
-        """Substitute an exact value for q, leaving a polynomial in t."""
+        """Substitute an int for q, leaving a polynomial in t.  The value
+        must be an int: a Fraction makes coefficients that are not ints,
+        and BivarPoly refuses them with ValueError."""
         terms = {}
         for (dq, dt), coeff in self._terms.items():
             key = (0, dt)
@@ -214,6 +209,7 @@ class BivarPoly:
         return BivarPoly(terms)
 
     def subs_t(self, value):
+        """Substitute an int for t, leaving a polynomial in q, as subs_q."""
         terms = {}
         for (dq, dt), coeff in self._terms.items():
             key = (dq, 0)
@@ -291,7 +287,9 @@ class TruncatedSeries2:
         over the nonconstant coefficients D[i][j] of self.  The recurrence
         runs on packed ints (see _packed_rows and _Slots), and each row is
         read as soon as it is done; the packed ints of a row are dropped
-        once no later row reads them.
+        once no later row reads them.  A tall series (max_x > max_y) is
+        inverted as the transpose of the reciprocal of its transpose, as
+        swapping x and y is a ring map.
 
         ``reader`` names the _Slots method that reads each cell: "decode"
         makes the BivarPoly, "text" its str() and "json" its
@@ -305,7 +303,8 @@ class TruncatedSeries2:
         """
         if reader not in _Slots.READERS:
             raise ValueError(f"unknown cell reader {reader!r}")
-        slots, mirror, rows = self._packed_rows()
+        tall = self.max_x > self.max_y
+        slots, mirror, rows = (self._transpose() if tall else self)._packed_rows()
         read = getattr(slots, reader)
         coeff = []
         for m, (values, boxes) in enumerate(rows):
@@ -315,76 +314,59 @@ class TruncatedSeries2:
                 coeff[n][m] if mirror and n < m else read(v, box)
                 for n, (v, box) in enumerate(zip(values, boxes))
             ])
-        if self.max_x > self.max_y:  # the rows ran along y
+        if tall:
             coeff = [list(column) for column in zip(*coeff)]
         return TruncatedSeries2(self.max_x, self.max_y, coeff)
 
-    def reciprocal_coefficient(self, i, j) -> BivarPoly:
-        """reciprocal().coefficient(i, j), with only that cell decoded.
-
-        S[i][j] reads the cells of self up to (i, j) alone, so the
-        recurrence runs on that corner, keeps only the rows still in
-        reach and decodes one cell of the last.  The input contract is
-        that of reciprocal(), on the corner.
-        """
-        slots, column = self._packed_column(i, j)
+    def reciprocal_coefficient(self) -> BivarPoly:
+        """reciprocal().coefficient(max_x, max_y), with only that cell
+        decoded, the series transposed as in reciprocal() if tall."""
+        tall = self.max_x > self.max_y
+        slots, column = (self._transpose() if tall else self)._packed_column()
         return slots.decode(*column[-1])
 
-    def reciprocal_column(self, j) -> list:
-        """[reciprocal().coefficient(i, j) for i in 0..max_x], with only
-        those cells decoded, the recurrence run once on the corner
-        (max_x, j) as in reciprocal_coefficient()."""
-        slots, column = self._packed_column(self.max_x, j)
+    def reciprocal_column(self) -> list:
+        """[reciprocal().coefficient(i, max_y) for i in 0..max_x], with
+        only those cells decoded: the last cell of each row, the rows
+        along x even if self is tall, which only loses the mirror."""
+        slots, column = self._packed_column()
         # one box that holds every cell's box, so its slots are listed once
         box = tuple(map(max, zip(*[box for _, box in column])))
         return [slots.decode(value, box) for value, _ in column]
 
-    def _packed_column(self, i, j):
-        """(slots, cells): the recurrence run on the corner (i, j), and
-        the packed (value, box) of S[0][j], ..., S[i][j].
+    def _transpose(self) -> "TruncatedSeries2":
+        return TruncatedSeries2(self.max_y, self.max_x, [list(c) for c in zip(*self.coeff)])
 
-        If the rows run along x, cell j ends each row.  If they run along
-        y (i > j), column j is the last row.  Under a mirror the cells of
-        that row left of the diagonal may not be computed, and S[n][j] =
-        S[j][n] is cell j of row n instead.
-        """
-        if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
-            raise IndexError(f"cell ({i}, {j}) is outside the series")
-        corner = TruncatedSeries2(i, j, [row[: j + 1] for row in self.coeff[: i + 1]])
-        slots, mirror, rows = corner._packed_rows()
-        column = []
-        for values, boxes in rows:
-            column.append((values[j], boxes[j]))
-        if i > j:
-            first = j if mirror else 0
-            column[first:] = zip(values[first:], boxes[first:])
-        return slots, column
+    def _packed_column(self):
+        """(slots, cells): the packed (value, box) of S[0][max_y], ...,
+        S[max_x][max_y], the last cell of each row, which no mirror
+        leaves out."""
+        slots, _, rows = self._packed_rows()
+        return slots, [(values[-1], boxes[-1]) for values, boxes in rows]
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.
 
-        Returns (slots, mirror, rows).  The recurrence runs wide: its
-        rows are indexed by the shorter side of self, x unless max_x >
-        max_y, in which case they are indexed by y and cell (m, n) of a
-        row is S[n][m].  Swapping x and y is a ring map, so this is the
-        transpose of the reciprocal of the transposed series.
-        ``rows`` yields, for each row m in turn, (values, boxes):
-        values[n] is S[m][n] packed in one _Slots layout, and boxes[n]
-        the (q-degree, t-degree, q-degree minus t-degree) bounds of that
-        cell.  ``slots`` is the _Slots layout: ``slots.decode(values[n],
+        Returns (slots, mirror, rows).  The rows run along x: ``rows``
+        yields, for each row m in turn, (values, boxes): values[n] is
+        S[m][n] packed in one _Slots layout, and boxes[n] the (q-degree,
+        t-degree, q-degree minus t-degree) bounds of that cell.
+        ``slots`` is the _Slots layout: ``slots.decode(values[n],
         boxes[n])`` is the cell as a BivarPoly, and its other readers
         write the cell's text or JSON terms.  The input is checked, and
         the bounds taken, before this returns.
 
-        ``mirror`` says that self is symmetric on the square where both
-        (i, j) and (j, i) are cells.  Then so is S, and every row being at
-        least as long as the square, a cell (m, n) with n < m is never
-        computed.  Let band be the largest j - i over the nonconstant
-        D[i][j]: a cell within the band (m - n <= band) is the int of its
-        mirror (n, m), and the cells further left are None, as no cell
-        reads them (S[m][n] with n >= m reads S[m-i][n-j], and
-        (m - i) - (n - j) <= j - i).  Rows are kept back to the larger of
-        band and reach, the largest i over the nonconstant D[i][j].
+        ``mirror`` says that self is no taller than wide (max_x <= max_y)
+        and symmetric on the square where both (i, j) and (j, i) are
+        cells.  Then so is S, and every row being at least as long as the
+        square, a cell (m, n) with n < m is never computed.  Let band be
+        the largest j - i over the nonconstant D[i][j]: a cell within the
+        band (m - n <= band) is the int of its mirror (n, m), and the
+        cells further left are None, as no cell reads them (S[m][n] with
+        n >= m reads S[m-i][n-j], and (m - i) - (n - j) <= j - i).  Rows
+        are kept back to the larger of band and reach, the largest i over
+        the nonconstant D[i][j].  A tall symmetric series gets its mirror
+        through its transpose (see reciprocal()).
 
         A first pass bounds every cell by one rule.  Its q-degree, its
         t-degree and the largest q-degree minus t-degree of its terms are
@@ -402,17 +384,16 @@ class TruncatedSeries2:
             raise NonUnitConstantTerm(
                 f"constant coefficient is {self.coeff[0][0]}, expected 1"
             )
-        tall = self.max_x > self.max_y
-        rows, cols = sorted((self.max_x + 1, self.max_y + 1))
-        # (i, j, terms, q-degree, t-degree, q minus t, l1 norm), (i, j) as the rows run
+        rows, cols = self.max_x + 1, self.max_y + 1
+        # (i, j, terms, q-degree, t-degree, q minus t, l1 norm)
         nonconstant = []
         for i, line in enumerate(self.coeff):
             for j, cell in enumerate(line):
                 if (i, j) == (0, 0) or not cell:
                     continue
                 terms = {(0, 0): cell} if isinstance(cell, int) else cell._terms
-                nonconstant.append((*((j, i) if tall else (i, j)), terms, *_extent(terms)))
-        mirror = all(
+                nonconstant.append((i, j, terms, *_extent(terms)))
+        mirror = rows <= cols and all(
             self.coeff[i][j] == self.coeff[j][i] for i in range(rows) for j in range(i)
         )
 
@@ -648,8 +629,3 @@ def geometric_denominator(factors, max_y) -> TruncatedSeries2:
         grid.append(cells + [ZERO] * (max_y - len(row)))
     return TruncatedSeries2(len(factors) - 1, max_y, grid)
 
-
-def series_reciprocal(terms, max_x, max_y, reader="decode") -> TruncatedSeries2:
-    """Reciprocal of the series given by a sparse term map, its cells
-    read by ``reader``; see :meth:`TruncatedSeries2.reciprocal`."""
-    return TruncatedSeries2.from_terms(terms, max_x, max_y).reciprocal(reader)

@@ -48,7 +48,7 @@ from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
 from .poset import NoBottom, NotGraded, Poset, plane_put_run
-from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator, series_reciprocal
+from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator
 from .words import check_size, enumerate_shuffle_words, rank
 
 #: Brute-force routes refuse lattices larger than this unless forced.
@@ -190,7 +190,7 @@ def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """
     check_size(m, n, size_cap)
     factors = [[char_poly_formula(b, g).swap_vars() for g in range(n + 1)] for b in range(m + 1)]
-    column = geometric_denominator(factors, n + 1).reciprocal_column(n + 1)
+    column = geometric_denominator(factors, n + 1).reciprocal_column()
     terms = {}
     for j, cell in enumerate(column):
         c, shift = comb(m, j), m - j - 1
@@ -291,13 +291,12 @@ def m_series(max_m, max_n, cross_term=CROSS_TERM_Q_MINUS_1, reader="decode") -> 
     """Truncated series whose (m, n) coefficient is the M-triangle of
     Shuf(m, n), extracted from the rational generating function; each
     cell as ``reader`` reads it (see TruncatedSeries2.reciprocal)."""
-    return series_reciprocal(series_denominator_terms(cross_term), max_m, max_n, reader)
+    return TruncatedSeries2.from_terms(series_denominator_terms(cross_term), max_m, max_n).reciprocal(reader)
 
 
 def m_series_coefficient(m, n) -> BivarPoly:
     """m_series(m, n).coefficient(m, n), with only that cell unpacked."""
-    denominator = TruncatedSeries2.from_terms(series_denominator_terms(), m, n)
-    return denominator.reciprocal_coefficient(m, n)
+    return TruncatedSeries2.from_terms(series_denominator_terms(), m, n).reciprocal_coefficient()
 
 
 #: (max_m, max_n) of the square that adjudicate_series_cross_term checks

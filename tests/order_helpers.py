@@ -11,7 +11,9 @@ the packed-int check in ``shuflat.identities._substitution_verdict``,
 the upper-cover census of the bubble order, the oracle of the per-word
 lower-cover counts in ``shuflat.lattices.degree_statistics``, and the
 product of two truncated series, which checks that a reciprocal
-multiplies back to one.
+multiplies back to one, the corner of a series, through which the tests
+read any cell and column of a reciprocal with the readers of its last
+ones, and the substitution q -> -q, t -> -t.
 
 ``interval_shape`` reads the shape of [u, top] off one word: the oracle
 of the counting step of ``shuflat.triangles.m_triangle_interval``, which
@@ -290,6 +292,19 @@ def series_product(a, b):
                 for j in range(n + 1):
                     coeff[m][n] = coeff[m][n] + a.coeff[i][j] * b.coeff[m - i][n - j]
     return TruncatedSeries2(max_x, max_y, coeff)
+
+
+def corner(series, i, j):
+    """``series`` truncated at (i, j): its reciprocal's last cell is cell
+    (i, j) of the reciprocal of ``series``, and its last column is column
+    j of that reciprocal down to row i, since a cell reads only the cells
+    up to it."""
+    return TruncatedSeries2(i, j, [row[: j + 1] for row in series.coeff[: i + 1]])
+
+
+def negate_vars(p):
+    """p(-q, -t): a term's sign flips with the parity of its total degree."""
+    return BivarPoly({(dq, dt): -c if (dq + dt) & 1 else c for (dq, dt), c in p.terms()})
 
 
 def upper_cover_census(m, n):

@@ -192,6 +192,17 @@ def _series_oracle(m, n, as_json):
     return "\n".join(f"({i},{j}): {series.coefficient(i, j)}" for i, j in cells) + "\n"
 
 
+@pytest.mark.parametrize("m, n", [(5, 2), (8, 3), (20, 5)])
+def test_tall_series_requests_equal_the_formula(capsys, m, n):
+    # a tall series is inverted through its transpose
+    formula = triangles.m_triangle_formula
+    code, out, _ = run_cli(capsys, "mtriangle", str(m), str(n), "--method", "series")
+    assert (code, out) == (0, f"{formula(m, n)}\n")
+    code, out, _ = run_cli(capsys, "series", str(m), str(n))
+    cells = [f"({i},{j}): {formula(i, j)}" for i in range(m + 1) for j in range(n + 1)]
+    assert (code, out.splitlines()) == (0, cells)
+
+
 def test_series_output_matches_the_per_line_oracle(capsys):
     for m in range(7):
         for n in range(7):

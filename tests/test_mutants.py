@@ -8,6 +8,9 @@ here and updates the list), applies the mutant and runs ``verify
 the named verdicts failing; any other exit, such as 4 for an internal
 error, is not a catch.  A mutant must add an int, since BivarPoly
 refuses a bool.
+
+A survivor is a mutant that ``verify --suite all`` passes: it is kept
+with the suite that does catch it, so that the gap stays known.
 """
 
 import os
@@ -57,13 +60,75 @@ MUTANTS = [
         "total = plane_sum(planes, down[v]) + int(v == 5)",
         {"ch-brute-vs-formula"},
     ),
+    # the closed form of M: one [s^3 t^1] coefficient is off by one
+    (
+        "triangles.py",
+        "row[j] += ci * comb(a, j)",
+        "row[j] += ci * comb(a, j) + int(i == 3 and j == 1)",
+        {"m-brute-vs-formula", "series-vs-formula", "h-to-m", "specializations"},
+    ),
+    # the closed form of ch, which the interval route reads as its factors
+    (
+        "triangles.py",
+        "coeffs[k] += c * comb(d - a, k - a)",
+        "coeffs[k] += c * comb(d - a, k - a) + int(k == 2 and a == 1)",
+        {"ch-brute-vs-formula", "m-brute-vs-interval", "char-from-h", "specializations"},
+    ),
+    # the composition-grouped double sum for M
+    (
+        "triangles.py",
+        "row[d] += b * a",
+        "row[d] += b * a + int(d == 2 and j == 1)",
+        {"m-brute-vs-compsum"},
+    ),
+    # brute H counts a word with two lower covers, neither an indel, as
+    # having one of indel kind
+    (
+        "triangles.py",
+        "key = (triple.in_total, triple.in_indel)",
+        "key = (triple.in_total, triple.in_indel + int(triple.in_total == 2 and triple.in_indel == 0))",
+        {"h-brute-vs-formula"},
+    ),
+    # the series denominator's cross term -t(1-t)(q-1)xy becomes
+    # -t(1-t)(q-2)xy
+    (
+        "triangles.py",
+        "cross = -(T * (ONE - T) * (Q - 1))",
+        "cross = -(T * (ONE - T) * (Q - 2))",
+        {"series-vs-formula", "series-cross-term-adjudication"},
+    ),
+    # the closed side of the composition identity
+    (
+        "identities.py",
+        "{(0, l): comb(m + k, l + k) * comb(n + k + l, l) for l",
+        "{(0, l): comb(m + k, l + k) * comb(n + k + l, l) + int(l == 2) for l",
+        {"composition-identity"},
+    ),
+    # the closed form of H, on a line other than its core qt + 1
+    (
+        "triangles.py",
+        "acc = acc + c * Q**a * core_pow[m + n - 2 * a]",
+        "acc = acc + (c + int(a == 1)) * Q**a * core_pow[m + n - 2 * a]",
+        {"h-brute-vs-formula", "h-to-m", "char-from-h"},
+    ),
 ]
 
+# The transpose that inverts a tall series drops its last x-row.  No
+# table of ``verify --suite all`` is tall, so it passes; the identities
+# suite at max-n 0, whose tables are tall, fails, and so do the
+# recurrence-oracle tests of tests/test_polyalg.py, such as
+# test_reciprocal_matches_recurrence_oracle.
+TALL_TRANSPOSE = (
+    "polyalg.py",
+    "[list(c) for c in zip(*self.coeff)]",
+    "[list(c) for c in zip(*self.coeff[:-1], [0] * (self.max_y + 1))]",
+)
 
-def failing_verdicts(tmp_path, module, old, new):
-    """(exit code, names of the failing verdicts) of ``verify --suite
-    all`` on a copy of src/ with ``old`` replaced by ``new`` in
-    ``module``."""
+
+def failing_verdicts(tmp_path, module, old, new, suite=("--suite", "all")):
+    """(exit code, names of the failing verdicts) of ``verify`` with the
+    ``suite`` arguments on a copy of src/ with ``old`` replaced by ``new``
+    in ``module``."""
     src = tmp_path / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "shuflat" / module
@@ -73,7 +138,7 @@ def failing_verdicts(tmp_path, module, old, new):
     env = {k: v for k, v in os.environ.items() if k != "SHUF_SIZE_CAP"}
     env["PYTHONPATH"] = str(src)
     result = subprocess.run(
-        [sys.executable, "-m", "shuflat.cli", "verify", "--suite", "all"],
+        [sys.executable, "-m", "shuflat.cli", "verify", *suite],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -96,3 +161,12 @@ def test_a_mutant_that_changes_nothing_fails_the_harness(tmp_path):
     module, old, _, verdicts = MUTANTS[0]
     with pytest.raises(AssertionError):
         assert_caught(tmp_path, module, old, old.replace("-c", "-c + 0"), verdicts)
+
+
+def test_tall_transpose_mutant_survives_all_and_fails_tall_identities(tmp_path):
+    assert failing_verdicts(tmp_path / "all", *TALL_TRANSPOSE) == (0, set())
+    tall = ("--suite", "identities", "--max-m", "6", "--max-n", "0")
+    assert failing_verdicts(tmp_path / "tall", *TALL_TRANSPOSE, tall) == (
+        1,
+        {"composition-identity", "prefactor-identity"},
+    )

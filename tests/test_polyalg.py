@@ -6,7 +6,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from order_helpers import series_product
+from order_helpers import corner, negate_vars, series_product
 from shuflat import cli, identities, polyalg
 from shuflat.polyalg import (
     ONE,
@@ -16,7 +16,6 @@ from shuflat.polyalg import (
     BivarPoly,
     NonUnitConstantTerm,
     TruncatedSeries2,
-    series_reciprocal,
 )
 from shuflat.triangles import (
     CROSS_TERM_Q_MINUS_1,
@@ -46,11 +45,11 @@ def test_pow_examples():
 
 
 def test_negate_vars():
-    assert ONE.negate_vars() == ONE
-    assert (Q * T).negate_vars() == Q * T
-    assert (Q + T).negate_vars() == -(Q + T)
+    assert negate_vars(ONE) == ONE
+    assert negate_vars(Q * T) == Q * T
+    assert negate_vars(Q + T) == -(Q + T)
     p = (Q * T - T + 1) ** 3 - 5 * Q
-    assert p.negate_vars().negate_vars() == p
+    assert negate_vars(negate_vars(p)) == p
 
 
 def test_swap_vars():
@@ -179,8 +178,8 @@ def test_negate_vars_is_ring_homomorphism_fuzz():
     rng = random.Random(99)
     for _ in range(80):
         a, b = random_poly(rng), random_poly(rng)
-        assert (a + b).negate_vars() == a.negate_vars() + b.negate_vars()
-        assert (a * b).negate_vars() == a.negate_vars() * b.negate_vars()
+        assert negate_vars(a + b) == negate_vars(a) + negate_vars(b)
+        assert negate_vars(a * b) == negate_vars(a) * negate_vars(b)
 
 
 def test_evaluation_commutes_with_arithmetic_fuzz():
@@ -198,15 +197,19 @@ def test_pow_rejects_negative():
         Q**-1
 
 
+def inverse(terms, max_x, max_y):
+    return TruncatedSeries2.from_terms(terms, max_x, max_y).reciprocal()
+
+
 def test_series_geometric():
-    s = series_reciprocal({(0, 0): ONE, (1, 0): -ONE}, 4, 2)
+    s = inverse({(0, 0): ONE, (1, 0): -ONE}, 4, 2)
     for i in range(5):
         for j in range(3):
             assert s.coefficient(i, j) == (ONE if j == 0 else ZERO)
 
 
 def test_series_binomial():
-    s = series_reciprocal({(0, 0): ONE, (1, 0): -ONE, (0, 1): -ONE}, 5, 5)
+    s = inverse({(0, 0): ONE, (1, 0): -ONE, (0, 1): -ONE}, 5, 5)
     for i in range(6):
         for j in range(6):
             assert s.coefficient(i, j) == BivarPoly.constant(comb(i + j, i))
@@ -237,18 +240,18 @@ def test_series_rejects_misshaped_coefficients():
 
 def test_series_rejects_negative_truncation_orders():
     with pytest.raises(ValueError, match="nonnegative"):
-        series_reciprocal({(0, 0): ONE}, -1, 2)
+        inverse({(0, 0): ONE}, -1, 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        series_reciprocal({(0, 0): ONE}, 2, -1)
+        inverse({(0, 0): ONE}, 2, -1)
     with pytest.raises(ValueError, match="nonnegative"):
         TruncatedSeries2(-1, 0, [])
 
 
 def test_series_requires_unit_constant():
     with pytest.raises(NonUnitConstantTerm):
-        series_reciprocal({(0, 0): BivarPoly.constant(2)}, 1, 1)
+        inverse({(0, 0): BivarPoly.constant(2)}, 1, 1)
     with pytest.raises(NonUnitConstantTerm):
-        series_reciprocal({(1, 0): ONE}, 1, 1)
+        inverse({(1, 0): ONE}, 1, 1)
 
 
 def grid(series):
@@ -345,9 +348,9 @@ def test_reciprocal_reads_raw_int_cells_as_constants():
 
 def test_reciprocal_rejects_negative_exponents():
     with pytest.raises(ValueError, match="negative exponent"):
-        series_reciprocal({(0, 0): ONE, (1, 0): BivarPoly({(-1, 0): -1})}, 3, 0)
+        inverse({(0, 0): ONE, (1, 0): BivarPoly({(-1, 0): -1})}, 3, 0)
     with pytest.raises(ValueError, match="negative exponent"):
-        series_reciprocal({(0, 0): ONE, (1, 1): BivarPoly({(2, -1): 5})}, 1, 1)
+        inverse({(0, 0): ONE, (1, 1): BivarPoly({(2, -1): 5})}, 1, 1)
 
 
 @st.composite
@@ -389,7 +392,7 @@ def test_symmetric_denominator_reciprocal_matches_recurrence_oracle(d):
     assert grid(d.reciprocal()) == grid(oracle)
     for m in range(d.max_x + 1):
         for n in range(d.max_y + 1):
-            assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
+            assert corner(d, m, n).reciprocal_coefficient() == oracle.coefficient(m, n)
 
 
 def test_mirror_cells_are_made_once():
@@ -409,12 +412,20 @@ def test_mirror_cells_are_made_once():
     assert len(made) == 9
 
 
+def test_rows_run_along_x():
+    # a tall series too: 5 rows of 3 cells, with no mirror
+    d = TruncatedSeries2.from_terms(series_denominator_terms(), 4, 2)
+    _, mirror, rows = d._packed_rows()
+    assert not mirror
+    assert [len(values) for values, _ in rows] == [3] * 5
+
+
 def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
     d = TruncatedSeries2.from_terms(series_denominator_terms(), 4, 2)
     s = d.reciprocal()
     assert s.coefficient(1, 0) is s.coefficient(0, 1)
     assert s.coefficient(2, 1) is s.coefficient(1, 2)
-    # rows 3 and 4 lie below the square and are unpacked
+    # the cells (3, n) and (4, n) lie outside the square and are computed
     assert grid(s) == grid(reciprocal_oracle(d))
     lopsided = TruncatedSeries2.from_terms({(0, 0): ONE, (1, 0): -ONE, (0, 1): -Q}, 2, 2)
     r = lopsided.reciprocal()
@@ -424,9 +435,10 @@ def test_symmetric_reciprocal_shares_mirror_cells_only_on_the_square():
 
 def assert_boxes_symmetric_on_the_square(d):
     # every cell is bounded by one rule; on the square a cell reads the
-    # transposes of what its mirror reads, so its box is its mirror's
+    # transposes of what its mirror reads, so its box is its mirror's.
+    # The rows run along x, so a tall series gets no mirror of its own.
     _, mirror, rows = d._packed_rows()
-    assert mirror
+    assert mirror == (d.max_x <= d.max_y)
     boxes = [list(row_boxes) for _, row_boxes in rows]
     side = min(d.max_x, d.max_y) + 1
     for m in range(side):
@@ -474,7 +486,7 @@ def test_one_cell_reader_matches_reciprocal(variant):
     full = d.reciprocal()
     for m in range(9):
         for n in range(9):
-            assert d.reciprocal_coefficient(m, n) == full.coefficient(m, n)
+            assert corner(d, m, n).reciprocal_coefficient() == full.coefficient(m, n)
 
 
 @SETTINGS
@@ -483,17 +495,18 @@ def test_one_cell_reader_matches_recurrence_oracle(d):
     oracle = reciprocal_oracle(d)
     for m in range(d.max_x + 1):
         for n in range(d.max_y + 1):
-            assert d.reciprocal_coefficient(m, n) == oracle.coefficient(m, n)
+            assert corner(d, m, n).reciprocal_coefficient() == oracle.coefficient(m, n)
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (2, 6), (4, 4)])
 def test_column_reader_matches_reciprocal(shape):
-    # symmetric: a column of a tall corner reads its cells left of the
-    # diagonal from the earlier rows
+    # symmetric: a corner no taller than wide reads the last cell of each
+    # row under the mirror, a tall one with no mirror
     d = TruncatedSeries2.from_terms(series_denominator_terms(), *shape)
     full = d.reciprocal()
     for n in range(shape[1] + 1):
-        assert d.reciprocal_column(n) == [full.coefficient(m, n) for m in range(shape[0] + 1)]
+        column = corner(d, shape[0], n).reciprocal_column()
+        assert column == [full.coefficient(m, n) for m in range(shape[0] + 1)]
 
 
 @SETTINGS
@@ -501,17 +514,8 @@ def test_column_reader_matches_reciprocal(shape):
 def test_column_reader_matches_recurrence_oracle(d):
     oracle = reciprocal_oracle(d)
     for n in range(d.max_y + 1):
-        assert d.reciprocal_column(n) == [oracle.coefficient(m, n) for m in range(d.max_x + 1)]
-
-
-def test_one_cell_reader_rejects_cells_outside_the_series():
-    d = TruncatedSeries2.from_terms(series_denominator_terms(), 2, 3)
-    for cell in ((3, 0), (0, 4), (-1, 0)):
-        with pytest.raises(IndexError):
-            d.reciprocal_coefficient(*cell)
-    for column in (4, -1):
-        with pytest.raises(IndexError):
-            d.reciprocal_column(column)
+        column = corner(d, d.max_x, n).reciprocal_column()
+        assert column == [oracle.coefficient(m, n) for m in range(d.max_x + 1)]
 
 
 def counting_unpacks(monkeypatch, reader="decode"):
@@ -537,7 +541,7 @@ def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
     calls = counting_unpacks(monkeypatch, "text")
     decoded = counting_unpacks(monkeypatch)
     assert cli.run(["series", "3", "2"]) == 0
-    # the recurrence runs along the longer side: 3 rows of 4 cells, of
+    # the tall series runs through its transpose: 3 rows of 4 cells, of
     # which the 3 left of the diagonal are mirror cells; each of the
     # others is written as text, and none is decoded
     assert len(calls) == 12 - 3
@@ -674,6 +678,23 @@ def test_bool_operand_is_refused():
             operation()
 
 
+def test_bool_compares_unequal():
+    # == takes an int for a constant, but a bool is not one: it compares
+    # unequal instead of raising, as the arithmetic above refuses it
+    assert (Q * T + 1 == True) is False
+    assert (ONE == True) is False and (ZERO == False) is False
+    assert ONE != True and ZERO != False
+    assert ONE == 1 and ZERO == 0
+
+
+def test_substitutions_take_ints_only():
+    p = Q * T - T + 1
+    assert p.subs_q(2) == T + 1 and p.subs_t(-1) == 2 - Q
+    for substitute in (p.subs_q, p.subs_t):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            substitute(Fraction(1, 2))
+
+
 def test_passing_relation_builds_no_decode_tables(monkeypatch):
     made = []
 
@@ -706,5 +727,5 @@ def test_coefficients_must_be_ints():
     # a series cell with a fractional constant is refused when it is made,
     # before any reciprocal
     with pytest.raises(ValueError, match="coefficients must be ints"):
-        series_reciprocal({(0, 0): ONE, (1, 0): BivarPoly({(0, 0): 0.5})}, 2, 2)
+        inverse({(0, 0): ONE, (1, 0): BivarPoly({(0, 0): 0.5})}, 2, 2)
     assert BivarPoly({(1, 0): 2, (0, 0): 0}).terms() == [((1, 0), 2)]

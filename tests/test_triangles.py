@@ -266,8 +266,10 @@ def test_m_triangle_interval_matches_per_word_sum():
         assert counted == m_triangle_interval_per_word(m, n), (m, n)
 
 
-# The recurrence runs on the corner (m, n + 1) with its rows along the
-# shorter side: along y when m > n + 1, along x otherwise.
+# The recurrence runs on the corner (m, n + 1) with its rows along x, and
+# the route reads the last cell of each row.  The first group holds the
+# tall corners (m > n + 1), more rows than columns; its name is from when
+# the rows ran along the shorter side, and so along y there.
 INTERVAL_SHAPES = {
     "rows along y": [(2, 0), (3, 1), (5, 2), (6, 1), (8, 3)],
     "rows along x, square corner": [(1, 0), (3, 2), (6, 5)],
@@ -307,8 +309,8 @@ def test_m_triangle_interval_checks_the_division(monkeypatch):
     # the factor qt, which that term cannot divide out
     original = TruncatedSeries2.reciprocal_column
 
-    def constant_in_column(self, j):
-        column = original(self, j)
+    def constant_in_column(self):
+        column = original(self)
         column[-1] = column[-1] + 1
         return column
 
