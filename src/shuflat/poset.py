@@ -1,21 +1,26 @@
-"""Finite graded posets: covers, order closure, rank, Mobius function.
+"""Finite graded posets: covers, rank, Mobius function, order closure.
 
-A Poset is built once from labels and cover pairs, then frozen.  The
-order closure is kept as one Python int per element used as a bitset
-(bit v of ``up[a]`` says a <= v), which makes comparability O(1) and
-up-set iteration cheap even for a few thousand elements.
+A Poset is built once from labels and cover pairs, then frozen.  It
+keeps each element's upper covers and a topological order.  The order
+closures ``_up`` and ``_down``, one int per element used as a bitset
+(bit v of ``_up[a]`` says a <= v), are built only when first read, which
+``up_set`` and the tests do and no route does.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
-mu(a, v) = -sum of mu(a, r) over a <= r < v, taken over the up-set of a
-in rank order.  Each sum is read from signed bit planes: a dict that maps
-the weight 2^b (-2^b) to the plane whose bit i says that element i
-carries a positive (negative) value with bit b set in its magnitude.
-Only nonzero planes are held.  The sum of the values under a mask is
-then the sum of weight * |plane & mask| over the planes, one popcount
-per plane, however many distinct values there are (``plane_sum``).
+mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``Poset._mobius_row``
+walks the up-set of a one rank level at a time along the upper covers
+and reads each sum from signed bit planes: a dict that maps the weight
+2^b (-2^b) to the plane whose bit i says that element i carries a
+positive (negative) value with bit b set in its magnitude.  Only nonzero
+planes are held.  The sum of the values under a mask is then the sum of
+weight * |plane & mask| over the planes, one popcount per plane, however
+many distinct values there are.  A level is written into the planes
+with ``plane_put_run``, the writer that brute M shares.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 
 class CycleDetected(ValueError):
@@ -33,18 +38,36 @@ class NoBottom(ValueError):
 class Poset:
     """Immutable finite graded poset on elements 0..n-1 with opaque labels."""
 
-    def __init__(self, labels, covers, ranks, up, down, bottom, top):
+    def __init__(self, labels, covers, ranks, upper, order, bottom, top):
         self.labels = list(labels)
         self.n = len(self.labels)
         self.covers = covers  # sorted tuple of (lower, upper) index pairs
         self.ranks = ranks
-        self._up = up
-        self._down = down
+        self._upper = upper  # upper[a]: the upper covers of a, ascending
+        self._order = order  # the elements in a topological order
         self.bottom = bottom
         self.top = top
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={len(self.covers)})"
+
+    @cached_property
+    def _up(self):
+        """Bitset of the elements >= a, for every a; built on first read."""
+        up = [1 << v for v in range(self.n)]
+        for v in reversed(self._order):
+            for w in self._upper[v]:
+                up[v] |= up[w]
+        return up
+
+    @cached_property
+    def _down(self):
+        """Bitset of the elements <= v, for every v; built on first read."""
+        down = [1 << v for v in range(self.n)]
+        for v in self._order:
+            for w in self._upper[v]:
+                down[w] |= down[v]
+        return down
 
     def up_set(self, a: int):
         """Indices of elements >= a, in rank order."""
@@ -53,39 +76,52 @@ class Poset:
         return members
 
     def _mobius_row(self, a: int):
-        """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order."""
-        down = self._down
-        planes = {1: 1 << a}
+        """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order
+        and by index within a rank.
+
+        The up-set is walked one rank level at a time along the upper
+        covers, and its elements are numbered in walk order, so that each
+        level is a run.  [a, v) is the union of [a, u] over the lower
+        covers u of v, which all lie in the level before.  A level reads
+        all of its sums against the planes of the levels below it, and
+        only then is written with ``plane_put_run``.
+
+        This is brute M's level kernel at q-degree 0, but brute ch and
+        brute M share only the plane writer: brute ch walks the Poset,
+        brute M the indel covers, and each is checked against its own
+        formula, never against the other.
+        """
+        upper = self._upper
+        planes = {1: 1}
         out = [(a, 1)]
-        for v in self.up_set(a):
-            if v == a:
-                continue
-            total = plane_sum(planes, down[v])
-            if total:
-                plane_put(planes, -total, 1 << v)
-                out.append((v, -total))
-        return out
-
-
-def plane_sum(planes, mask: int) -> int:
-    """Sum of the values held in the signed bit planes over the elements
-    in ``mask``."""
-    total = 0
-    for weight, plane in planes.items():
-        total += (plane & mask).bit_count() * weight
-    return total
-
-
-def plane_put(planes, value: int, bit: int) -> None:
-    """Record ``value`` at the element ``bit`` (a one-bit mask) in the
-    signed bit planes; the element must hold no value yet."""
-    weight = 1 if value > 0 else -1
-    magnitude = abs(value)
-    while magnitude:
-        if magnitude & 1:
-            planes[weight] = planes.get(weight, 0) | bit
-        magnitude >>= 1
-        weight <<= 1
+        level, closed, end = [a], [1], 1
+        while True:
+            # below[v]: [a, v) in walk numbering, from v's lower covers;
+            # each [a, u] is popped, so the level below goes as this one comes
+            below = {}
+            while closed:
+                interval = closed.pop()
+                u = level[len(closed)]
+                for v in upper[u]:
+                    below[v] = below.get(v, 0) | interval
+            if not below:
+                return out
+            level = sorted(below)
+            weights = list(planes.items())
+            values, closed = [], []
+            bit = 1 << end
+            for v in level:
+                mask = below.pop(v)
+                value = 0
+                for weight, plane in weights:
+                    value -= (plane & mask).bit_count() * weight
+                values.append(value)
+                closed.append(mask | bit)
+                bit <<= 1
+                if value:
+                    out.append((v, value))
+            plane_put_run(planes, values, end)
+            end += len(level)
 
 
 def plane_put_run(planes, values, shift: int) -> None:
@@ -127,7 +163,10 @@ def build_poset(labels, covers) -> Poset:
 
     Rank is the longest-path distance from the minimal elements; every
     cover must then raise rank by exactly one (NotGraded otherwise).
-    Raises CycleDetected if the cover digraph is not a DAG.
+    Raises CycleDetected if the cover digraph is not a DAG.  The Poset
+    keeps the upper covers and the topological order that the checks
+    use; it makes no order closure, since ``_up`` and ``_down`` are built
+    from those on first read.
     """
     n = len(labels)
     # dict.fromkeys dedupes in order, so sorted input sorts in one pass;
@@ -171,24 +210,8 @@ def build_poset(labels, covers) -> Poset:
                 f"cover ({a},{b}) spans ranks {ranks[a]}..{ranks[b]}"
             )
 
-    up = [1 << v for v in range(n)]
-    for v in reversed(order):
-        acc = up[v]
-        for w in upper[v]:
-            acc |= up[w]
-        up[v] = acc
-    lower = [[] for _ in range(n)]
-    for a, b in covers:
-        lower[b].append(a)
-    down = [0] * n
-    for v in order:
-        acc = 1 << v
-        for u in lower[v]:
-            acc |= down[u]
-        down[v] = acc
-
-    minimal = [v for v in range(n) if not lower[v]]
+    minimal = [v for v in range(n) if not indegree[v]]
     maximal = [v for v in range(n) if not upper[v]]
     bottom = minimal[0] if len(minimal) == 1 else None
     top = maximal[0] if len(maximal) == 1 else None
-    return Poset(labels, tuple(covers), tuple(ranks), up, down, bottom, top)
+    return Poset(labels, tuple(covers), tuple(ranks), upper, order, bottom, top)

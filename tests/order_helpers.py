@@ -94,7 +94,7 @@ def top_word(n: int) -> Word:
 def bucket_sum(buckets, mask: int) -> int:
     """sum of c * |members & mask| over the value buckets {c: members}:
     the Mobius sum as one popcount per distinct value, the oracle for
-    the signed bit planes of ``shuflat.poset.plane_sum``."""
+    the signed bit planes that ``shuflat.poset.plane_put_run`` writes."""
     total = 0
     for c, members in buckets.items():
         total += c * (members & mask).bit_count()

@@ -40,8 +40,8 @@ MUTANTS = [
         "if dq == k + 1 and dt < 9}",
         {"composition-identity", "prefactor-identity"},
     ),
-    # brute M's level writer moves the fourth element of every run one
-    # place up
+    # the level writer of brute M and brute ch moves the fourth element of
+    # every run one place up
     (
         "poset.py",
         "groups.get(value, 0) | 1 << i",
@@ -51,13 +51,14 @@ MUTANTS = [
             "m-brute-vs-formula",
             "m-brute-vs-compsum",
             "series-cross-term-adjudication",
+            "ch-brute-vs-formula",
         },
     ),
-    # brute ch's Mobius row is off by one at element 5
+    # brute ch's Mobius row sums wrong at element 5
     (
         "poset.py",
-        "total = plane_sum(planes, down[v])",
-        "total = plane_sum(planes, down[v]) + int(v == 5)",
+        "value -= (plane & mask).bit_count() * weight",
+        "value -= (plane & mask).bit_count() * weight + int(v == 5)",
         {"ch-brute-vs-formula"},
     ),
     # the closed form of M: one [s^3 t^1] coefficient is off by one
@@ -110,6 +111,13 @@ MUTANTS = [
         "acc = acc + c * Q**a * core_pow[m + n - 2 * a]",
         "acc = acc + (c + int(a == 1)) * Q**a * core_pow[m + n - 2 * a]",
         {"h-brute-vs-formula", "h-to-m", "char-from-h"},
+    ),
+    # brute ch's level walk drops the first upper cover of element 3
+    (
+        "poset.py",
+        "for v in upper[u]:",
+        "for v in upper[u][int(u == 3):]:",
+        {"ch-brute-vs-formula"},
     ),
 ]
 

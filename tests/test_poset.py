@@ -14,7 +14,8 @@ from order_helpers import (
     mobius,
 )
 from shuflat.lattices import build_shuffle_lattice
-from shuflat.poset import CycleDetected, NotGraded, build_poset, plane_put, plane_put_run, plane_sum
+from shuflat.poset import CycleDetected, NotGraded, _bits, build_poset, plane_put_run
+from shuflat.triangles import char_poly_brute, char_poly_formula
 
 
 def chain(length):
@@ -122,6 +123,66 @@ def test_mobius_row_matches_naive_recursion():
             assert p._mobius_row(a) == naive_mobius_row(p, a), a
 
 
+def test_brute_ch_builds_no_order_closure():
+    p = build_shuffle_lattice(4, 4)
+    assert char_poly_brute(p) == char_poly_formula(4, 4)
+    assert "_up" not in vars(p) and "_down" not in vars(p)
+    assert len(p.up_set(p.bottom)) == p.n
+    assert "_up" in vars(p) and "_down" not in vars(p)
+
+
+@st.composite
+def graded_posets(draw):
+    """A graded poset drawn level by level: every element above the first
+    level covers one or more elements of the level below it.  The first
+    level may hold several minimal elements, and the indices are shuffled,
+    so that no level need be a run of consecutive indices."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    shuffled = draw(st.permutations(range(sum(sizes))))
+    levels = []
+    for size in sizes:
+        levels.append(shuffled[:size])
+        shuffled = shuffled[size:]
+    covers = []
+    for below, level in zip(levels, levels[1:]):
+        for v in level:
+            lower = draw(st.lists(st.sampled_from(below), min_size=1, unique=True))
+            covers += [(u, v) for u in lower]
+    p = build_poset(list(range(sum(sizes))), covers)
+    assert all(p.ranks[v] == r for r, level in enumerate(levels) for v in level)
+    return p
+
+
+def cover_walk(steps, a):
+    """The elements reached from a along the lists ``steps``, a included."""
+    seen, stack = {a}, [a]
+    while stack:
+        for v in steps.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return sorted(seen)
+
+
+# two minima under two maxima, each level's indices apart: not a lattice
+BOWTIE = build_poset(list(range(4)), [(1, 0), (1, 2), (3, 0), (3, 2)])
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graded_posets())
+@hypothesis.example(BOWTIE)
+def test_mobius_rows_and_closures_on_random_graded_posets(p):
+    upper, lower = {}, {}
+    for u, v in p.covers:
+        upper.setdefault(u, []).append(v)
+        lower.setdefault(v, []).append(u)
+    for a in range(p.n):
+        assert _bits(p._up[a]) == cover_walk(upper, a), a
+        assert _bits(p._down[a]) == cover_walk(lower, a), a
+    for a in range(p.n):
+        assert p._mobius_row(a) == naive_mobius_row(p, a), a
+
+
 def test_interval():
     p = chain(2)
     assert interval(p, 0, 0).n == 1
@@ -202,30 +263,6 @@ plane_values = st.one_of(
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
-    st.lists(plane_values, max_size=40),
-    st.integers(0, 2**45 - 1),
-    st.integers(0, 5),
-)
-def test_plane_sum_matches_bucket_sum(values, mask, offset):
-    # element i holds values[i]; the planes index it from ``offset``, the
-    # first element of a rank window, and see the mask shifted to match
-    buckets = {}
-    planes = {}
-    for i, value in enumerate(values):
-        if value:
-            buckets[value] = buckets.get(value, 0) | 1 << i
-        if i >= offset:
-            plane_put(planes, value, 1 << (i - offset))
-    window = mask >> offset << offset
-    assert plane_sum(planes, mask >> offset) == bucket_sum(buckets, window)
-    whole = {}
-    for i, value in enumerate(values):
-        plane_put(whole, value, 1 << i)
-    assert plane_sum(whole, mask) == bucket_sum(buckets, mask)
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(
     st.lists(plane_values, max_size=20),
     st.lists(plane_values, max_size=40),
     st.integers(0, 3),
@@ -237,12 +274,11 @@ def test_plane_put_run_matches_bucket_sum(held, run, gap, mask):
     # the levels below it
     buckets = {}
     planes = {}
-    shift = len(held) + gap
-    for i, value in enumerate(held):
-        plane_put(planes, value, 1 << i)
-    plane_put_run(planes, run, shift)
+    plane_put_run(planes, held, 0)
+    plane_put_run(planes, run, len(held) + gap)
     for i, value in enumerate(held + [0] * gap + run):
         if value:
             buckets[value] = buckets.get(value, 0) | 1 << i
-    assert plane_sum(planes, mask) == bucket_sum(buckets, mask)
+    total = sum((plane & mask).bit_count() * weight for weight, plane in planes.items())
+    assert total == bucket_sum(buckets, mask)
     assert all(planes.values())  # no zero value makes a plane

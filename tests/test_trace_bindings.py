@@ -6,7 +6,7 @@ originals back."""
 
 import os
 
-from shuflat import cli, poset, triangles
+from shuflat import cli, lattices, poset, triangles
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -16,6 +16,7 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
     from trace_layers import Tracer
 
     originals = (cli.run, triangles.m_triangle_brute, poset.Poset._mobius_row)
+    elements = lattices.build_shuffle_lattice(1, 1).n
     tracer = Tracer()
     tracer.install()
     try:
@@ -23,6 +24,9 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # brute M sums the recursion over the order relation; the one
         # Mobius row is read by brute ch
         assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
+        # the row from the bottom visits every element; the hook counts
+        # them from the up-set closure, which it builds outside the span
+        assert tracer.counts["poset.mobius_visited"] == elements
         # brute H takes the bubble covers, brute ch builds the lattice
         # and its Poset: the oracle workload's lattices and poset layers
         assert cli.run(["htriangle", "2", "2", "--method", "brute"]) == 0
