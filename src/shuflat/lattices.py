@@ -77,16 +77,15 @@ def indel_successors(u, m, n):
 def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
     """The shuffle lattice as a graded Poset labelled by the words.
 
-    Bottom is x1..xm, top is y1..yn; covers are the single indels.
+    Bottom is x1..xm, top is y1..yn; covers are the single indels, fed to
+    ``build_poset`` one pair at a time, so no list of the pairs is made.
     """
     labels = enumerate_shuffle_words(m, n, size_cap)
     index = {w: i for i, w in enumerate(labels)}
-    covers = []
-    for i, w in enumerate(labels):
-        # sorted per word, so the whole list arrives sorted
-        uppers = sorted([index[v] for v in indel_successors(w, m, n)])
-        covers += [(i, j) for j in uppers]
-    return build_poset(labels, covers)
+    return build_poset(
+        labels,
+        ((i, index[v]) for i, w in enumerate(labels) for v in indel_successors(w, m, n)),
+    )
 
 
 def _bubble_covers_above(u, m, n):

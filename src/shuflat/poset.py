@@ -1,10 +1,10 @@
 """Finite graded posets: covers, rank, Mobius function, order closure.
 
 A Poset is built once from labels and cover pairs, then frozen.  It
-keeps each element's upper covers and a topological order.  The order
-closures ``_up`` and ``_down``, one int per element used as a bitset
-(bit v of ``_up[a]`` says a <= v), are built only when first read, which
-``up_set`` and the tests do and no route does.
+keeps each element's upper covers and a topological order, not the
+pairs.  The pair tuple ``covers`` and the order closures ``_up`` and
+``_down`` (bit v of the int ``_up[a]`` says a <= v) are built only when
+first read, which ``up_set``, the tests and the demos do and no route does.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
 mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``Poset._mobius_row``
@@ -38,10 +38,9 @@ class NoBottom(ValueError):
 class Poset:
     """Immutable finite graded poset on elements 0..n-1 with opaque labels."""
 
-    def __init__(self, labels, covers, ranks, upper, order, bottom, top):
+    def __init__(self, labels, ranks, upper, order, bottom, top):
         self.labels = list(labels)
         self.n = len(self.labels)
-        self.covers = covers  # sorted tuple of (lower, upper) index pairs
         self.ranks = ranks
         self._upper = upper  # upper[a]: the upper covers of a, ascending
         self._order = order  # the elements in a topological order
@@ -49,7 +48,12 @@ class Poset:
         self.top = top
 
     def __repr__(self):
-        return f"Poset(n={self.n}, covers={len(self.covers)})"
+        return f"Poset(n={self.n}, covers={sum(map(len, self._upper))})"
+
+    @cached_property
+    def covers(self):
+        """Sorted tuple of the (lower, upper) index pairs; built on first read."""
+        return tuple((a, b) for a, up in enumerate(self._upper) for b in up)
 
     @cached_property
     def _up(self):
@@ -159,31 +163,29 @@ def _bits(mask: int):
 
 
 def build_poset(labels, covers) -> Poset:
-    """Build a graded poset from labels and cover pairs.
+    """Build a graded poset from labels and an iterable of cover pairs.
 
     Rank is the longest-path distance from the minimal elements; every
     cover must then raise rank by exactly one (NotGraded otherwise).
-    Raises CycleDetected if the cover digraph is not a DAG.  The Poset
-    keeps the upper covers and the topological order that the checks
-    use; it makes no order closure, since ``_up`` and ``_down`` are built
-    from those on first read.
+    Raises CycleDetected if the cover digraph is not a DAG.  Each pair is
+    checked as it comes and filed under its lower element.  The Poset
+    keeps those upper-cover lists, sorted and deduped, and the topological
+    order, but no pair: ``covers``, ``_up`` and ``_down`` come on first read.
     """
     n = len(labels)
-    # dict.fromkeys dedupes in order, so sorted input sorts in one pass;
-    # the pairs are checked first, as a str among ints would not sort
-    covers = dict.fromkeys(covers)
+    upper = [[] for _ in range(n)]
     for a, b in covers:
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
             raise ValueError(f"cover ({a!r},{b!r}) references a missing element")
         if a == b:
             raise CycleDetected(f"self-cover at element {a}")
-    covers = sorted(covers)
-
-    upper = [[] for _ in range(n)]
-    indegree = [0] * n
-    for a, b in covers:
         upper[a].append(b)
-        indegree[b] += 1
+    indegree = [0] * n
+    for a, up in enumerate(upper):
+        if len(up) > 1:
+            upper[a] = up = sorted(set(up))
+        for b in up:
+            indegree[b] += 1
 
     # Kahn topological sort; shortfall means a cycle.
     order = [v for v in range(n) if indegree[v] == 0]
@@ -204,14 +206,13 @@ def build_poset(labels, covers) -> Poset:
         for w in upper[v]:
             if ranks[v] + 1 > ranks[w]:
                 ranks[w] = ranks[v] + 1
-    for a, b in covers:
-        if ranks[b] != ranks[a] + 1:
-            raise NotGraded(
-                f"cover ({a},{b}) spans ranks {ranks[a]}..{ranks[b]}"
-            )
+    for a, up in enumerate(upper):
+        for b in up:
+            if ranks[b] != ranks[a] + 1:
+                raise NotGraded(f"cover ({a},{b}) spans ranks {ranks[a]}..{ranks[b]}")
 
     minimal = [v for v in range(n) if not indegree[v]]
     maximal = [v for v in range(n) if not upper[v]]
     bottom = minimal[0] if len(minimal) == 1 else None
     top = maximal[0] if len(maximal) == 1 else None
-    return Poset(labels, tuple(covers), tuple(ranks), upper, order, bottom, top)
+    return Poset(labels, tuple(ranks), upper, order, bottom, top)

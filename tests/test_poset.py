@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import hypothesis
 import pytest
@@ -13,9 +14,10 @@ from order_helpers import (
     leq,
     mobius,
 )
-from shuflat.lattices import build_shuffle_lattice
+from shuflat.lattices import build_shuffle_lattice, indel_successors
 from shuflat.poset import CycleDetected, NotGraded, _bits, build_poset, plane_put_run
 from shuflat.triangles import char_poly_brute, char_poly_formula
+from shuflat.words import enumerate_shuffle_words
 
 
 def chain(length):
@@ -41,6 +43,8 @@ def test_build_cycle_detected():
         build_poset([0, 1], [(0, 1), (1, 0)])
     with pytest.raises(CycleDetected):
         build_poset([0], [(0, 0)])
+    with pytest.raises(CycleDetected, match="^cover relation contains a directed cycle$"):
+        build_poset([0, 1, 2], (pair for pair in [(1, 2), (0, 1), (2, 0)]))
 
 
 def test_build_not_graded():
@@ -50,12 +54,56 @@ def test_build_not_graded():
 
 
 def test_build_refuses_covers_that_are_not_int_pairs():
-    for covers in ([("0", 1)], [(0, 1.0)], [(0, 1), ("0", 1)], [(0, 2)]):
+    # (0, 1.0) equals (0, 1), but it is refused, not dropped as a repeat
+    for covers in ([("0", 1)], [(0, 1.0)], [(0, 1), ("0", 1)], [(0, 2)], [(0, 1), (0, 1.0)]):
         with pytest.raises(ValueError, match="references a missing element"):
             build_poset([0, 1], covers)
     # repeated covers are dropped, and the rest sorted
     p = build_poset([0, 1, 2], [(1, 2), (0, 1), (1, 2)])
     assert p.covers == ((0, 1), (1, 2))
+
+
+# 0 < 1, 2 < 3 < 4, unsorted and with repeats
+DIAMOND_TAIL = [(3, 4), (1, 3), (0, 2), (0, 1), (3, 4), (2, 3), (0, 1)]
+
+
+def test_build_from_a_one_shot_generator_matches_a_list():
+    listed = build_poset(list("abcde"), DIAMOND_TAIL)
+    streamed = build_poset(list("abcde"), (pair for pair in DIAMOND_TAIL))
+    for p in (listed, streamed):
+        assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4))
+        assert p.ranks == (0, 1, 1, 2, 3)
+        assert (p.bottom, p.top) == (0, 4)
+        assert repr(p) == "Poset(n=5, covers=5)"
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (("0", 1), ValueError, "cover ('0',1) references a missing element"),
+        ((0, 3.0), ValueError, "cover (0,3.0) references a missing element"),
+        ((0, 5), ValueError, "cover (0,5) references a missing element"),
+        ((2, 2), CycleDetected, "self-cover at element 2"),
+    ],
+)
+def test_generator_with_a_late_bad_pair_raises_as_a_list_does(bad, error, message):
+    pairs = DIAMOND_TAIL + [bad, (0, 7)]
+    for covers in (pairs[:-1], (pair for pair in pairs[:-1])):
+        with pytest.raises(error) as info:
+            build_poset(list("abcde"), covers)
+        assert type(info.value) is error and str(info.value) == message
+    # the first bad pair in input order is the one named
+    with pytest.raises(error) as info:
+        build_poset(list("abcde"), (pair for pair in pairs))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_not_graded_names_the_first_bad_cover_in_sorted_order():
+    # 0 < 1 < 2 < 3 < 4 with jumps 1 -> 3 and 0 -> 2, given in that order
+    pairs = [(3, 4), (1, 3), (2, 3), (1, 2), (0, 2), (0, 1)]
+    for covers in (pairs, (pair for pair in pairs)):
+        with pytest.raises(NotGraded, match=r"^cover \(0,2\) spans ranks 0\.\.2$"):
+            build_poset(list(range(5)), covers)
 
 
 def test_leq():
@@ -129,6 +177,32 @@ def test_brute_ch_builds_no_order_closure():
     assert "_up" not in vars(p) and "_down" not in vars(p)
     assert len(p.up_set(p.bottom)) == p.n
     assert "_up" in vars(p) and "_down" not in vars(p)
+    # nor the cover pairs, which a repr counts without building them
+    words = enumerate_shuffle_words(4, 4)
+    index = {w: i for i, w in enumerate(words)}
+    pairs = sorted({(index[w], index[v]) for w in words for v in indel_successors(w, 4, 4)})
+    assert repr(p) == f"Poset(n={p.n}, covers={len(pairs)})"
+    assert "covers" not in vars(p)
+    assert p.covers == tuple(pairs)
+    assert "covers" in vars(p)
+
+
+def test_brute_ch_peak_memory_at_5_4():
+    # the lattice and the row of Shuf(5,4) peak near 2.5 MiB; a list of
+    # the 25k cover pairs beside the upper lists takes it past 4.5 MiB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    try:
+        ch = char_poly_brute(build_shuffle_lattice(5, 4))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ch == char_poly_formula(5, 4)
+    assert peak < 3.5 * 2**20, peak / 2**20
 
 
 @st.composite
