@@ -99,8 +99,8 @@ def test_generator_with_a_late_bad_pair_raises_as_a_list_does(bad, error, messag
 
 
 def test_not_graded_names_the_first_bad_cover_in_sorted_order():
-    # 0 < 1 < 2 < 3 < 4 with jumps 1 -> 3 and 0 -> 2, given in that order
-    pairs = [(3, 4), (1, 3), (2, 3), (1, 2), (0, 2), (0, 1)]
+    # 0 < 1 < 2 < 3 < 4 with jumps 1 -> 3, 0 -> 3 and 0 -> 2, given in that order
+    pairs = [(3, 4), (1, 3), (2, 3), (0, 3), (1, 2), (0, 2), (0, 1)]
     for covers in (pairs, (pair for pair in pairs)):
         with pytest.raises(NotGraded, match=r"^cover \(0,2\) spans ranks 0\.\.2$"):
             build_poset(list(range(5)), covers)
