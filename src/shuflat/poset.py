@@ -7,15 +7,19 @@ pairs.  The pair tuple ``covers`` and the order closures ``_up`` and
 first read, which ``up_set``, the tests and the demos do and no route does.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
-mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``Poset._mobius_row``
-walks the up-set of a one rank level at a time along the upper covers
-and reads each sum from signed bit planes: a dict that maps the weight
-2^b (-2^b) to the plane whose bit i says that element i carries a
+mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``mobius_levels`` walks an
+up-set one rank level at a time along the upper covers and sums this
+recursion against q^rank(u) at every q-degree: brute M reads all the
+degrees of the walk from the bottom word up the indel covers, and
+``Poset._mobius_row`` (brute ch) degree 0 alone of the walk from one
+element.  Each sum is read from signed bit planes: a dict that maps the
+weight 2^b (-2^b) to the plane whose bit i says that element i carries a
 positive (negative) value with bit b set in its magnitude.  Only nonzero
 planes are held.  The sum of the values under a mask is then the sum of
 weight * |plane & mask| over the planes, one popcount per plane, however
 many distinct values there are.  A level is written into the planes
-with ``plane_put_run``, the writer that brute M shares.
+with ``plane_put_run``.  As the two brute routes share this walk, each
+is checked against its own formula, never against the other.
 """
 
 from __future__ import annotations
@@ -81,51 +85,66 @@ class Poset:
 
     def _mobius_row(self, a: int):
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order
-        and by index within a rank.
+        and by index within a rank: degree 0 of ``mobius_levels`` from a."""
+        out = []
+        for level, (row,) in mobius_levels([a], lambda level: map(self._upper.__getitem__, level), 1):
+            out += [(v, value) for v, value in zip(level, row) if value]
+        return out
 
-        The up-set is walked one rank level at a time along the upper
-        covers, and its elements are numbered in walk order, so that each
-        level is a run.  [a, v) is the union of [a, u] over the lower
-        covers u of v, which all lie in the level before.  A level reads
-        all of its sums against the planes of the levels below it, and
-        only then is written with ``plane_put_run``.
 
-        This is brute M's level kernel at q-degree 0, but brute ch and
-        brute M share only the plane writer: brute ch walks the Poset,
-        brute M the indel covers, and each is checked against its own
-        formula, never against the other.
-        """
-        upper = self._upper
-        planes = {1: 1}
-        out = [(a, 1)]
-        level, closed, end = [a], [1], 1
-        while True:
-            # below[v]: [a, v) in walk numbering, from v's lower covers;
-            # each [a, u] is popped, so the level below goes as this one comes
-            below = {}
-            while closed:
-                interval = closed.pop()
-                u = level[len(closed)]
-                for v in upper[u]:
-                    below[v] = below.get(v, 0) | interval
-            if not below:
-                return out
-            level = sorted(below)
-            weights = list(planes.items())
-            values, closed = [], []
-            bit = 1 << end
-            for v in level:
-                mask = below.pop(v)
+def mobius_levels(first, upper_of, degrees: int):
+    """Walk the up-set of the minimal elements ``first`` one level at a
+    time, and yield each level, sorted, with ``values``: values[d][i] is
+    [q^d] g(v) for the i-th element v of level r, where g(v) is the sum
+    of mu(u, v) q^level(u) over the walked u <= v.  values holds the
+    degrees d below ``degrees`` and up to r; the others are 0 at level r.
+    ``upper_of(elements)`` gives the upper covers of each of the elements,
+    in their order.
+
+    By the Mobius recursion g(v) = q^level(v) - sum of g(w) over w < v.
+    The elements are numbered in walk order, so that each level is a run.
+    For each degree the values of the levels done so far sit in signed
+    bit planes, and the sum under a mask costs one popcount per plane.
+    Only levels d and up carry [q^d] g, so degree d's planes start at
+    level d, and each mask is shifted to that window.  [first, v) is the
+    union of [first, u] over the lower covers u of v, which all lie in
+    the level before if the walk is graded; each [first, u] is popped
+    as it is pushed up, so the level below goes as this one comes.  A
+    level reads all of its sums before ``plane_put_run`` writes it.
+    """
+    level = sorted(first)
+    masks = [0] * len(level)
+    # planes[d]: [q^d] g, bit i for the element starts[d] + i
+    planes, starts, end = [], [], 0
+    while level:
+        values = []
+        for d, held in enumerate(planes):
+            offset = starts[d]
+            weights = list(held.items())
+            column = []
+            for mask in masks:
+                mask >>= offset
                 value = 0
                 for weight, plane in weights:
                     value -= (plane & mask).bit_count() * weight
-                values.append(value)
-                closed.append(mask | bit)
-                bit <<= 1
-                if value:
-                    out.append((v, value))
-            plane_put_run(planes, values, end)
-            end += len(level)
+                column.append(value)
+            plane_put_run(held, column, end - offset)
+            values.append(column)
+        if len(planes) < degrees:
+            planes.append({1: (1 << len(level)) - 1})
+            starts.append(end)
+            values.append([1] * len(level))
+        yield level, values
+        # last element first, so that the masks are freed in the reverse
+        # order of their making, which keeps the peak RSS down
+        below = {}
+        for covers in upper_of(reversed(level)):
+            closed = masks.pop() | 1 << end + len(masks)
+            for v in covers:
+                below[v] = below.get(v, 0) | closed
+        end += len(level)
+        level = sorted(below)
+        masks = list(map(below.pop, level))
 
 
 def plane_put_run(planes, values, shift: int) -> None:
@@ -175,7 +194,7 @@ def build_poset(labels, covers) -> Poset:
     n = len(labels)
     upper = [[] for _ in range(n)]
     for a, b in covers:
-        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+        if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
             raise ValueError(f"cover ({a!r},{b!r}) references a missing element")
         if a == b:
             raise CycleDetected(f"self-cover at element {a}")

@@ -10,13 +10,12 @@ lower covers (total and of indel kind).
 
 Routes implemented:
 
-* brute force over the lattice: one Mobius row for ch, the summed
-  Mobius recursion over the order relation for M (see m_triangle_brute;
-  it builds no Poset, only down-sets closed from the indel covers one
-  rank level at a time, reads a whole level's sums before it writes the
-  level into its bit planes, and checks the grading itself), and for H
-  the census of bubble lower covers, which each word's letters give by
-  kind;
+* brute force over the lattice: the Mobius recursion summed one rank
+  level at a time by one walk, ``poset.mobius_levels``, whose degree-0
+  plane from the bottom of a Poset is the Mobius row for ch and whose
+  every degree, walked up the indel covers without a Poset, gives M (see
+  m_triangle_brute, which checks the grading itself); and for H the
+  census of bubble lower covers, which each word's letters give by kind;
 * the interval decomposition: M(q,t) = sum over words u of
   (qt)^rank(u) times the product of the factor characteristic
   polynomials in t of the interval shape of u, the words counted per
@@ -47,7 +46,7 @@ from __future__ import annotations
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
-from .poset import NoBottom, NotGraded, Poset, plane_put_run
+from .poset import NoBottom, NotGraded, Poset, mobius_levels
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator
 from .words import check_size, enumerate_shuffle_words, rank
 
@@ -95,74 +94,46 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """Mobius sum over all comparable pairs of the shuffle lattice.
 
     With g(v) = sum over u <= v of mu(u, v) q^rank(u), the M-triangle is
-    the sum of g(v) t^rank(v), and summing mu(u, v) = -sum of mu(u, w)
-    over u <= w < v against q^rank(u) gives
-    g(v) = q^rank(v) - sum of g(w) over w < v.  The elements are taken
-    one rank level at a time.  For each q-degree the values g(w) of the
-    levels done so far sit in signed bit planes, so the sum costs one
-    popcount per plane; a level reads all its sums first and only then
-    writes its values, so the planes it reads hold lower ranks only, the
-    ranks that its down-sets can reach.  Only elements of rank d or more
-    carry [q^d] g, so degree d's planes start at the first element of
-    rank d, and each down-set is shifted to that window once per degree.
+    the sum of g(v) t^rank(v).  ``poset.mobius_levels`` gives g one rank
+    level at a time, at every q-degree, walking from the words of rank 0
+    up the indel covers; brute ch walks the same way at degree 0 alone.
 
-    No Poset is built: the covers are the indels, and the down-sets of a
-    level are the unions of those of the level below pushed up along its
-    covers.  Only the order relation is read, not the interval
-    factorization.  The rank order is trusted only as far as it is
-    checked: every cover must raise the rank by one and every element
-    without lower covers must have rank 0, else NotGraded.
+    No Poset is built, and only the order relation is read, not the
+    interval factorization.  The rank order is trusted only as far as it
+    is checked: every element of walk level r must have rank r, and the
+    walk must reach every word.  Else the first cover that does not
+    raise the rank by one, or failing that an element of nonzero rank
+    without lower covers, is named in NotGraded.
     """
     words = enumerate_shuffle_words(m, n, size_cap)
-    levels = {}
-    for w in words:
-        levels.setdefault(rank(w, m), []).append(w)
-    # the words in rank order; start[d]: the position of the first word
-    # of rank d, and start[-1] the number of words
-    words, start = [], []
-    for r in range(max(levels) + 1):
-        start.append(len(words))
-        words += levels.get(r, ())
-    start.append(len(words))
-    index = {w: i for i, w in enumerate(words)}
-    # downs[i]: the down-set of the i-th element of the level, first as
-    # the union of those of its lower covers; only two levels are held
-    downs = [0] * start[1]
-    # planes[d]: [q^d] g(w) of the levels done so far, bit w - start[d]
-    planes = []
+    ranks = [rank(w, m) for w in words]
+    lookup = {w: i for i, w in enumerate(words)}.__getitem__
+
+    def upper_of(level):
+        return (map(lookup, indel_successors(words[v], m, n)) for v in level)
+
     terms = {}
-    for r in range(len(start) - 1):
-        first, end = start[r], start[r + 1]
-        for v, lower in enumerate(downs, first):
-            if r and not lower:
-                raise NotGraded(f"element {v} has no lower cover but rank {r}")
-            downs[v - first] = lower | 1 << v
-        for d, held in enumerate(planes):
-            offset = start[d]
-            weights = list(held.items())
-            values = []
-            for down in downs:
-                mask = down >> offset
-                value = 0
-                for weight, plane in weights:
-                    value -= (plane & mask).bit_count() * weight
-                values.append(value)
-            terms[(d, r)] = sum(values)
-            plane_put_run(held, values, first - offset)
-        planes.append({1: (1 << (end - first)) - 1})
-        terms[(r, r)] = end - first
-        # the covers of this level, which must all end in the next one
-        after = start[r + 2] if r + 2 < len(start) else end
-        above = [0] * (after - end)
-        for v, down in enumerate(downs, first):
-            downs[v - first] = 0  # so that this level's down-sets go as the next one's come
-            for upper in indel_successors(words[v], m, n):
-                u = index[upper]
-                if not end <= u < after:
-                    raise NotGraded(f"cover ({v},{u}) spans ranks {r}..{rank(upper, m)}")
-                above[u - end] |= down
-        downs = above
-    return BivarPoly(terms)
+    reached = 0
+    walk = mobius_levels([v for v, r in enumerate(ranks) if not r], upper_of, m + n + 1)
+    for r, (level, values) in enumerate(walk):
+        if set(map(ranks.__getitem__, level)) != {r}:
+            break
+        reached += len(level)
+        for d, column in enumerate(values):
+            terms[(d, r)] = sum(column)
+    else:
+        if reached == len(words):
+            return BivarPoly(terms)
+    # if every cover raises the rank by one, a missed word of least rank
+    # has no lower cover, so one of the two raises below
+    covered = set()
+    for v, (r, covers) in enumerate(zip(ranks, upper_of(range(len(words))))):
+        for u in covers:
+            if ranks[u] != r + 1:
+                raise NotGraded(f"cover ({v},{u}) spans ranks {r}..{ranks[u]}")
+            covered.add(u)
+    v = next(v for v, r in enumerate(ranks) if r and v not in covered)
+    raise NotGraded(f"element {v} has no lower cover but rank {ranks[v]}")
 
 
 def m_triangle_interval(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:

@@ -54,12 +54,33 @@ MUTANTS = [
             "ch-brute-vs-formula",
         },
     ),
-    # brute ch's Mobius row sums wrong at element 5
+    # the Mobius walk of brute M and brute ch sums wrong at the sixth
+    # element of every level, at every q-degree
     (
         "poset.py",
         "value -= (plane & mask).bit_count() * weight",
-        "value -= (plane & mask).bit_count() * weight + int(v == 5)",
-        {"ch-brute-vs-formula"},
+        "value -= (plane & mask).bit_count() * weight + int(len(column) == 5)",
+        {
+            "m-brute-vs-interval",
+            "m-brute-vs-formula",
+            "m-brute-vs-compsum",
+            "series-cross-term-adjudication",
+            "ch-brute-vs-formula",
+        },
+    ),
+    # brute M's indel-cover lookup drops the first upper cover of word 7
+    # when that word is not the bottom; in every lattice that verify
+    # builds, the cover's top keeps another lower cover
+    (
+        "triangles.py",
+        "indel_successors(words[v], m, n)) for v in level)",
+        "indel_successors(words[v], m, n)[int(v == 7 and ranks[v] > 0):]) for v in level)",
+        {
+            "m-brute-vs-interval",
+            "m-brute-vs-formula",
+            "m-brute-vs-compsum",
+            "series-cross-term-adjudication",
+        },
     ),
     # the closed form of M: one [s^3 t^1] coefficient is off by one
     (
@@ -112,11 +133,12 @@ MUTANTS = [
         "acc = acc + (c + int(a == 1)) * Q**a * core_pow[m + n - 2 * a]",
         {"h-brute-vs-formula", "h-to-m", "char-from-h"},
     ),
-    # brute ch's level walk drops the first upper cover of element 3
+    # brute ch's cover source, which the Poset gives the shared walk,
+    # drops the first upper cover of element 3
     (
         "poset.py",
-        "for v in upper[u]:",
-        "for v in upper[u][int(u == 3):]:",
+        "map(self._upper.__getitem__, level)",
+        "(self._upper[u][int(u == 3):] for u in level)",
         {"ch-brute-vs-formula"},
     ),
     # build_poset's upper-list pass drops the first upper cover of element

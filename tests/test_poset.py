@@ -15,7 +15,7 @@ from order_helpers import (
     mobius,
 )
 from shuflat.lattices import build_shuffle_lattice, indel_successors
-from shuflat.poset import CycleDetected, NotGraded, _bits, build_poset, plane_put_run
+from shuflat.poset import CycleDetected, NotGraded, _bits, build_poset, mobius_levels, plane_put_run
 from shuflat.triangles import char_poly_brute, char_poly_formula
 from shuflat.words import enumerate_shuffle_words
 
@@ -54,10 +54,22 @@ def test_build_not_graded():
 
 
 def test_build_refuses_covers_that_are_not_int_pairs():
-    # (0, 1.0) equals (0, 1), but it is refused, not dropped as a repeat
-    for covers in ([("0", 1)], [(0, 1.0)], [(0, 1), ("0", 1)], [(0, 2)], [(0, 1), (0, 1.0)]):
+    # (0, 1.0) and (0, True) equal (0, 1), but they are refused, not
+    # dropped as repeats
+    for covers in (
+        [("0", 1)],
+        [(0, 1.0)],
+        [(0, 1), ("0", 1)],
+        [(0, 2)],
+        [(0, 1), (0, 1.0)],
+        [(0, True)],
+        [(False, 1)],
+        [(0, 1), (0, True)],
+    ):
         with pytest.raises(ValueError, match="references a missing element"):
             build_poset([0, 1], covers)
+    with pytest.raises(ValueError, match=r"^cover \(0,True\) references a missing element$"):
+        build_poset(list("abc"), [(0, True), (True, 2)])
     # repeated covers are dropped, and the rest sorted
     p = build_poset([0, 1, 2], [(1, 2), (0, 1), (1, 2)])
     assert p.covers == ((0, 1), (1, 2))
@@ -255,6 +267,35 @@ def test_mobius_rows_and_closures_on_random_graded_posets(p):
         assert _bits(p._down[a]) == cover_walk(lower, a), a
     for a in range(p.n):
         assert p._mobius_row(a) == naive_mobius_row(p, a), a
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(graded_posets())
+@hypothesis.example(BOWTIE)
+def test_mobius_levels_from_the_minima_sum_the_m_triangle(p):
+    # sum of mu(u, v) q^rank(u) t^rank(v) over u <= v, from the naive rows
+    expected = {}
+    for u in range(p.n):
+        for v, mu in naive_mobius_row(p, u):
+            key = (p.ranks[u], p.ranks[v])
+            expected[key] = expected.get(key, 0) + mu
+    upper = {}
+    for u, v in p.covers:
+        upper.setdefault(u, []).append(v)
+    minima = [v for v in range(p.n) if p.ranks[v] == 0]
+    top = max(p.ranks)
+    for degrees in (1, top + 1):
+        walk = mobius_levels(minima, lambda level: [upper.get(u, ()) for u in level], degrees)
+        terms = {}
+        for r, (level, values) in enumerate(walk):
+            assert level == sorted(v for v in range(p.n) if p.ranks[v] == r)
+            assert len(values) == min(r + 1, degrees)
+            for d, column in enumerate(values):
+                assert len(column) == len(level)
+                terms[(d, r)] = sum(column)
+        assert r == top
+        nonzero = {k: c for k, c in terms.items() if c}
+        assert nonzero == {k: c for k, c in expected.items() if c and k[0] < degrees}, degrees
 
 
 def test_interval():

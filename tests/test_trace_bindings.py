@@ -21,8 +21,8 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
     tracer.install()
     try:
         assert cli.run(["mtriangle", "1", "1", "--method", "brute"]) == 0
-        # brute M sums the recursion over the order relation; the one
-        # Mobius row is read by brute ch
+        # brute M and brute ch share one Mobius walk, which only brute ch
+        # enters through the traced Poset._mobius_row
         assert cli.run(["chpoly", "1", "1", "--method", "brute"]) == 0
         # the row from the bottom visits every element; the hook counts
         # them from the up-set closure, which it builds outside the span
@@ -30,7 +30,8 @@ def test_tracer_installs_records_and_restores(capsys, monkeypatch):
         # brute H takes the bubble covers, brute ch builds the lattice
         # and its Poset: the oracle workload's lattices and poset layers
         assert cli.run(["htriangle", "2", "2", "--method", "brute"]) == 0
-        # the interval route enumerates the words itself
+        # the interval route reads no words and builds no lattice: it
+        # records its own span alone
         assert cli.run(["mtriangle", "2", "2", "--method", "interval"]) == 0
         # the closed-form routes carry the closed workload's layer metrics
         assert cli.run(["mtriangle", "2", "2", "--method", "formula"]) == 0

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -172,6 +173,39 @@ def test_m_triangle_brute_refuses_a_cover_inside_a_level(monkeypatch):
     monkeypatch.setattr(triangles, "indel_successors", successors)
     with pytest.raises(NotGraded, match=r"spans ranks 2\.\.2"):
         m_triangle_brute(2, 2)
+
+
+def test_m_triangle_brute_names_a_word_that_the_walk_cannot_reach(monkeypatch):
+    # with every cover into one rank-2 word dropped, the walk up from the
+    # bottom misses that word, and only the count of the words reached
+    # shows it
+    target = [w for w in enumerate_shuffle_words(2, 2) if rank(w, 2) == 2][1]
+    original = triangles.indel_successors
+
+    def successors(u, m, n):
+        return [w for w in original(u, m, n) if w != target]
+
+    monkeypatch.setattr(triangles, "indel_successors", successors)
+    with pytest.raises(NotGraded, match="no lower cover but rank 2$"):
+        m_triangle_brute(2, 2)
+
+
+def test_m_triangle_brute_peak_memory_at_5_4():
+    # the words, their ranks and index and two levels of down-sets peak
+    # near 1.65 MiB under tracemalloc
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    try:
+        m_triangle = m_triangle_brute(5, 4, size_cap=10**4)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert m_triangle == m_triangle_formula(5, 4)
+    assert peak < 2.5 * 2**20, peak / 2**20
 
 
 def test_m_triangle_brute_ignores_the_word_order(monkeypatch):
