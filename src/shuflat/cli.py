@@ -167,19 +167,26 @@ def _cmd_hasse(args):
     # nodes are (word, rank), edges (lower, upper, kind or None); every
     # format renders these two lists.  Each word's covers are sorted into
     # enumeration order, length then lexicographic: the order of the
-    # lattice's covers and of lattices.bubble_covers.
+    # lattice's covers and of lattices.bubble_covers.  indel_covers
+    # numbers the words in that order, so its numbers sort as they are.
     listing = words.enumerate_shuffle_words(m, n, cap)
-    name = {w: words.format_word(w) for w in listing}
-    nodes = [(name[w], words.rank(w, m)) for w in listing]
-    edges = [
-        (name[u], name[upper], kind)
-        for u in listing
-        for upper, kind in sorted(
-            lattices._bubble_covers_above(u, m, n) if bub
-            else [(v, None) for v in lattices.indel_successors(u, m, n)],
-            key=lambda c: (len(c[0]), c[0]),
-        )
-    ]
+    names = [words.format_word(w) for w in listing]
+    nodes = [(name, words.rank(w, m)) for name, w in zip(names, listing)]
+    if bub:
+        name = dict(zip(listing, names))
+        edges = [
+            (name[u], name[upper], kind)
+            for u in listing
+            for upper, kind in sorted(
+                lattices._bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0])
+            )
+        ]
+    else:
+        upper, _, _ = lattices.indel_covers(m, n, cap)
+        edges = []
+        for u, up in enumerate(upper):
+            upper[u] = None  # the edges reuse the memory of the covers
+            edges += [(names[u], names[v], None) for v in sorted(up)]
 
     def text():
         if args.format == "text":

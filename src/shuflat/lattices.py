@@ -2,7 +2,11 @@
 
 Going up in the shuffle lattice means deleting an x-letter or inserting
 a y-letter (an indel); each indel raises rank by one, so indel edges
-are exactly the covers.
+are exactly the covers.  ``indel_successors`` makes the covers of one
+word by that definition.  ``indel_covers`` derives the covers of every
+word from the covers of its prefix, by word number, and makes no word
+to do so (see there); the brute routes and ``shuflat hasse`` read it,
+and the tests check it against ``indel_successors``.
 
 The bubble order on the same words is finer.  Its covers split into
 two kinds:
@@ -22,12 +26,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from .poset import Poset, build_poset
 from .words import (
     FAMILY_X,
     FAMILY_Y,
     DEFAULT_SIZE_CAP,
+    check_size,
     enumerate_shuffle_words,
     letters,
 )
@@ -74,18 +81,90 @@ def indel_successors(u, m, n):
     return out
 
 
+def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP, with_words=False):
+    """The indel covers of Shuf(m, n), the words numbered in enumeration
+    order: (upper, ranks, words), where upper[v] is the tuple of the upper
+    covers of word v, in no set order, ranks[v] is its rank, and words
+    lists the words if ``with_words`` is set, else is None.  Raises
+    SizeLimitExceeded when there are more than ``size_cap`` words.
+
+    Appending a letter makes the words a trie.  Say a word is in state
+    (a, b) when a and b are its largest x- and y-index (0 if it has none);
+    its children are w x_i for i > a, then w y_j for j > b.  Taken breadth
+    first, each word's children in that order, the trie gives the words
+    in enumeration order, and the children of a word get consecutive
+    numbers.  So child_l(v), the number of v l, is the number of v's first
+    child plus an offset that v's state and the letter l fix.  The upper
+    covers of a word w = u l are then
+    * child_l(v) for each upper cover v of u such that v l is a word: the
+      indels of w away from its last place;
+    * u, when l is an x-letter: the deletion of l;
+    * the children w y of w: the insertions at the end.
+    One pass over the words, parents before children, derives each
+    word's covers from its parent's, and makes or hashes no word to do
+    so.  The covers hold one shared int object per number, so the tuples
+    cost a pointer per cover.
+    """
+    check_size(m, n, size_cap)
+    span = n + 1  # state (a, b) is the number a * span + b
+    # per state: the children's states, the letter indices they append,
+    # and the offsets of child_x_i and child_y_j from the first child
+    kids, steps, x_off, y_gap, tops = [], [], [], [], []
+    for a in range(m + 1):
+        for b in range(span):
+            xr, yr = range(a + 1, m + 1), range(b + 1, span)
+            kids.append([i * span + b for i in xr] + [a * span + j for j in yr])
+            steps.append((xr, yr, b))
+            x_off.append(-a - 1)
+            y_gap.append(m - b)
+            tops.append(b)
+    states = [0]
+    for s in states:  # breadth first: the list grows as it is read
+        states += kids[s]
+    first = accumulate(map(len, map(kids.__getitem__, states)), initial=1)
+    # child_x_i(v) = x_base[v] + i and child_y_j(v) = y_base[v] + j
+    x_base = list(map(add, first, map(x_off.__getitem__, states)))
+    y_base = list(map(add, x_base, map(y_gap.__getitem__, states)))
+    y_top = list(map(tops.__getitem__, states))
+    ids = list(range(len(states)))  # the covers share these int objects
+    upper = [tuple(ids[y_base[0] + 1 : y_base[0] + span])]
+    ranks = [m]
+    for u, (up, (xr, yr, b)) in enumerate(zip(upper, map(steps.__getitem__, states))):
+        r = ranks[u]
+        w = len(upper)
+        for i in xr:
+            cw = [ids[x_base[v] + i] for v in up]
+            cw.append(ids[u])
+            cw += ids[y_base[w] + b + 1 : y_base[w] + span]
+            upper.append(tuple(cw))
+            ranks.append(r - 1)
+            w += 1
+        for j in yr:
+            cw = [ids[y_base[v] + j] for v in up if y_top[v] < j]
+            cw += ids[y_base[w] + j + 1 : y_base[w] + span]
+            upper.append(tuple(cw))
+            ranks.append(r + 1)
+            w += 1
+    if not with_words:
+        return upper, ranks, None
+    xs, ys = letters(FAMILY_X, m), letters(FAMILY_Y, n)
+    # the last letters of each state's children, as one-letter words
+    tails = [[(xs[i],) for i in xr] + [(ys[j],) for j in yr] for xr, yr, _ in steps]
+    words = [()]
+    for word, s in zip(words, states):  # breadth first again
+        words += map(word.__add__, tails[s])
+    return upper, ranks, words
+
+
 def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
     """The shuffle lattice as a graded Poset labelled by the words.
 
-    Bottom is x1..xm, top is y1..yn; covers are the single indels, fed to
-    ``build_poset`` one pair at a time, so no list of the pairs is made.
+    Bottom is x1..xm, top is y1..yn; covers are the single indels, which
+    ``indel_covers`` derives and ``build_poset`` takes one pair at a
+    time, so no list of the pairs is made.
     """
-    labels = enumerate_shuffle_words(m, n, size_cap)
-    index = {w: i for i, w in enumerate(labels)}
-    return build_poset(
-        labels,
-        ((i, index[v]) for i, w in enumerate(labels) for v in indel_successors(w, m, n)),
-    )
+    upper, _, labels = indel_covers(m, n, size_cap, with_words=True)
+    return build_poset(labels, ((a, b) for a, up in enumerate(upper) for b in up))
 
 
 def _bubble_covers_above(u, m, n):

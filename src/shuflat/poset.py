@@ -106,7 +106,8 @@ def mobius_levels(first, upper_of, degrees: int):
     For each degree the values of the levels done so far sit in signed
     bit planes, and the sum under a mask costs one popcount per plane.
     Only levels d and up carry [q^d] g, so degree d's planes start at
-    level d, and each mask is shifted to that window.  [first, v) is the
+    level d, and each mask is shifted to that window when it does not
+    start at 0, as a shift by 0 copies the int.  [first, v) is the
     union of [first, u] over the lower covers u of v, which all lie in
     the level before if the walk is graded; each [first, u] is popped
     as it is pushed up, so the level below goes as this one comes.  A
@@ -123,7 +124,8 @@ def mobius_levels(first, upper_of, degrees: int):
             weights = list(held.items())
             column = []
             for mask in masks:
-                mask >>= offset
+                if offset:
+                    mask >>= offset
                 value = 0
                 for weight, plane in weights:
                     value -= (plane & mask).bit_count() * weight

@@ -11,11 +11,13 @@ lower covers (total and of indel kind).
 Routes implemented:
 
 * brute force over the lattice: the Mobius recursion summed one rank
-  level at a time by one walk, ``poset.mobius_levels``, whose degree-0
-  plane from the bottom of a Poset is the Mobius row for ch and whose
-  every degree, walked up the indel covers without a Poset, gives M (see
-  m_triangle_brute, which checks the grading itself); and for H the
-  census of bubble lower covers, which each word's letters give by kind;
+  level at a time by one walk, ``poset.mobius_levels``, up the indel
+  covers that ``lattices.indel_covers`` derives.  Its degree-0 plane from
+  the bottom of the Poset that ``build_shuffle_lattice`` makes of them is
+  the Mobius row for ch, and its every degree, walked without a Poset,
+  gives M (see m_triangle_brute, which checks the grading itself); and
+  for H the census of bubble lower covers, which each word's letters
+  give by kind;
 * the interval decomposition: M(q,t) = sum over words u of
   (qt)^rank(u) times the product of the factor characteristic
   polynomials in t of the interval shape of u, the words counted per
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .lattices import build_shuffle_lattice, degree_statistics, indel_successors
+from .lattices import build_shuffle_lattice, degree_statistics, indel_covers
 from .poset import NoBottom, NotGraded, Poset, mobius_levels
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator
 from .words import check_size, enumerate_shuffle_words, rank
@@ -96,7 +98,9 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     With g(v) = sum over u <= v of mu(u, v) q^rank(u), the M-triangle is
     the sum of g(v) t^rank(v).  ``poset.mobius_levels`` gives g one rank
     level at a time, at every q-degree, walking from the words of rank 0
-    up the indel covers; brute ch walks the same way at degree 0 alone.
+    up the indel covers and reading the ranks that ``indel_covers``
+    derives, by word number; brute ch walks the same way at degree 0
+    alone.
 
     No Poset is built, and only the order relation is read, not the
     interval factorization.  The rank order is trusted only as far as it
@@ -105,16 +109,14 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     raise the rank by one, or failing that an element of nonzero rank
     without lower covers, is named in NotGraded.
     """
-    words = enumerate_shuffle_words(m, n, size_cap)
-    ranks = [rank(w, m) for w in words]
-    lookup = {w: i for i, w in enumerate(words)}.__getitem__
-
-    def upper_of(level):
-        return (map(lookup, indel_successors(words[v], m, n)) for v in level)
-
+    upper, ranks, _ = indel_covers(m, n, size_cap)
     terms = {}
     reached = 0
-    walk = mobius_levels([v for v, r in enumerate(ranks) if not r], upper_of, m + n + 1)
+    walk = mobius_levels(
+        [v for v, r in enumerate(ranks) if not r],
+        lambda level: map(upper.__getitem__, level),
+        m + n + 1,
+    )
     for r, (level, values) in enumerate(walk):
         if set(map(ranks.__getitem__, level)) != {r}:
             break
@@ -122,12 +124,12 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
         for d, column in enumerate(values):
             terms[(d, r)] = sum(column)
     else:
-        if reached == len(words):
+        if reached == len(ranks):
             return BivarPoly(terms)
     # if every cover raises the rank by one, a missed word of least rank
     # has no lower cover, so one of the two raises below
     covered = set()
-    for v, (r, covers) in enumerate(zip(ranks, upper_of(range(len(words))))):
+    for v, (r, covers) in enumerate(zip(ranks, upper)):
         for u in covers:
             if ranks[u] != r + 1:
                 raise NotGraded(f"cover ({v},{u}) spans ranks {r}..{ranks[u]}")

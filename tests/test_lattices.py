@@ -17,6 +17,7 @@ from shuflat.lattices import (
     bubble_covers,
     build_shuffle_lattice,
     degree_statistics,
+    indel_covers,
     indel_successors,
 )
 from shuflat.words import (
@@ -72,6 +73,40 @@ def test_indel_successors_match_the_definition():
                 successors = indel_successors(u, m, n)
                 assert len(successors) == len(set(successors)), u
                 assert set(successors) == one_indel_above(u, m, n), (m, n, u)
+
+
+def test_indel_covers_match_the_successors():
+    # every (m, n) with m + n <= 8, the one-sided lattices included
+    for m in range(9):
+        for n in range(9 - m):
+            listing = enumerate_shuffle_words(m, n)
+            upper, ranks, words = indel_covers(m, n, with_words=True)
+            assert words == listing, (m, n)
+            assert indel_covers(m, n)[2] is None
+            assert len(upper) == len(listing)
+            assert ranks == [rank(u, m) for u in listing], (m, n)
+            for u, up in zip(listing, upper):
+                assert len(up) == len(set(up)), (m, n, u)
+                assert {listing[v] for v in up} == set(indel_successors(u, m, n)), (m, n, u)
+
+
+def test_shuffle_lattice_from_the_successors():
+    # the lattice built from the derived covers is the one built from
+    # indel_successors and an index of the enumerated words
+    for m in range(9):
+        for n in range(9 - m):
+            listing = enumerate_shuffle_words(m, n)
+            index = {u: i for i, u in enumerate(listing)}
+            pairs = {(index[u], index[v]) for u in listing for v in indel_successors(u, m, n)}
+            p = build_shuffle_lattice(m, n)
+            assert p.labels == listing, (m, n)
+            assert p.covers == tuple(sorted(pairs)), (m, n)
+            assert p.ranks == tuple(rank(u, m) for u in listing), (m, n)
+
+
+def test_indel_covers_size_cap():
+    with pytest.raises(SizeLimitExceeded):
+        indel_covers(3, 3, size_cap=10)
 
 
 def test_shuffle_lattice_boolean_case():

@@ -68,18 +68,33 @@ MUTANTS = [
             "ch-brute-vs-formula",
         },
     ),
-    # brute M's indel-cover lookup drops the first upper cover of word 7
-    # when that word is not the bottom; in every lattice that verify
-    # builds, the cover's top keeps another lower cover
+    # brute M's reader of the derived indel covers drops the first upper
+    # cover of word 7 when that word is not the bottom; in every lattice
+    # that verify builds, the cover's top keeps another lower cover
     (
         "triangles.py",
-        "indel_successors(words[v], m, n)) for v in level)",
-        "indel_successors(words[v], m, n)[int(v == 7 and ranks[v] > 0):]) for v in level)",
+        "lambda level: map(upper.__getitem__, level),",
+        "lambda level: (upper[v][int(v == 7 and ranks[v] > 0):] for v in level),",
         {
             "m-brute-vs-interval",
             "m-brute-vs-formula",
             "m-brute-vs-compsum",
             "series-cross-term-adjudication",
+        },
+    ),
+    # the cover derivation, which brute M and brute ch both read, drops
+    # the cover u of w = u x_2 when u has a y-letter, so that u minus that
+    # letter is still a lower cover of u
+    (
+        "lattices.py",
+        "            cw.append(ids[u])",
+        "            cw += [ids[u]] * int(i != 2 or not b)",
+        {
+            "m-brute-vs-interval",
+            "m-brute-vs-formula",
+            "m-brute-vs-compsum",
+            "series-cross-term-adjudication",
+            "ch-brute-vs-formula",
         },
     ),
     # the closed form of M: one [s^3 t^1] coefficient is off by one

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from order_helpers import bottom_word, interval_shape, top_word
+from order_helpers import interval_shape
 from shuflat import cli, lattices, poset, triangles
 from shuflat.lattices import build_shuffle_lattice
 from shuflat.identities import run_methods_suite
@@ -122,18 +122,33 @@ def test_m_triangle_brute_matches_per_source_rows():
             assert m_triangle_brute(m, n) == m_triangle_per_source(m, n), (m, n)
 
 
+def faulty_covers(monkeypatch, change, modules=(triangles,)):
+    """Make ``indel_covers``, as the modules read it, hand out the covers
+    and ranks that ``change(upper, ranks)`` returns; the returned list
+    counts the calls."""
+    original = lattices.indel_covers
+    calls = []
+
+    def covers(m, n, size_cap, with_words=False):
+        calls.append((m, n))
+        upper, ranks, words = original(m, n, size_cap, with_words)
+        return (*change(upper, ranks), words)
+
+    for module in modules:
+        monkeypatch.setattr(module, "indel_covers", covers)
+    return calls
+
+
 def jump_from_bottom(monkeypatch):
     """Add one cover from the bottom straight to the top, which spans
     m + n ranks, to the indel covers that brute M reads."""
-    original = triangles.indel_successors
 
-    def successors(u, m, n):
-        out = original(u, m, n)
-        if u == bottom_word(m):
-            out.append(top_word(n))
-        return out
+    def jump(upper, ranks):
+        bottom, top = ranks.index(0), ranks.index(max(ranks))
+        upper[bottom] += (top,)
+        return upper, ranks
 
-    monkeypatch.setattr(triangles, "indel_successors", successors)
+    faulty_covers(monkeypatch, jump)
 
 
 def test_m_triangle_brute_checks_the_grading(monkeypatch):
@@ -153,7 +168,7 @@ def test_m_triangle_brute_grading_fault_exits_4(monkeypatch, capsys):
 def test_m_triangle_brute_checks_rank_zero_at_the_bottom(monkeypatch):
     # a rank shifted by one still raises every cover by one; only the
     # element without lower covers shows it
-    monkeypatch.setattr(triangles, "rank", lambda word, m: rank(word, m) + 1)
+    faulty_covers(monkeypatch, lambda upper, ranks: (upper, [r + 1 for r in ranks]))
     with pytest.raises(NotGraded, match="no lower cover but rank 1"):
         m_triangle_brute(1, 1)
 
@@ -161,16 +176,12 @@ def test_m_triangle_brute_checks_rank_zero_at_the_bottom(monkeypatch):
 def test_m_triangle_brute_refuses_a_cover_inside_a_level(monkeypatch):
     # a level reads all its sums before it writes, so a cover between two
     # words of one rank would be skipped silently if it were not checked
-    words = [w for w in enumerate_shuffle_words(2, 2) if rank(w, 2) == 2]
-    original = triangles.indel_successors
+    def inside(upper, ranks):
+        level = [v for v, r in enumerate(ranks) if r == 2]
+        upper[level[0]] += (level[-1],)
+        return upper, ranks
 
-    def successors(u, m, n):
-        out = original(u, m, n)
-        if u == words[0]:
-            out.append(words[-1])
-        return out
-
-    monkeypatch.setattr(triangles, "indel_successors", successors)
+    faulty_covers(monkeypatch, inside)
     with pytest.raises(NotGraded, match=r"spans ranks 2\.\.2"):
         m_triangle_brute(2, 2)
 
@@ -179,20 +190,18 @@ def test_m_triangle_brute_names_a_word_that_the_walk_cannot_reach(monkeypatch):
     # with every cover into one rank-2 word dropped, the walk up from the
     # bottom misses that word, and only the count of the words reached
     # shows it
-    target = [w for w in enumerate_shuffle_words(2, 2) if rank(w, 2) == 2][1]
-    original = triangles.indel_successors
+    def unreachable(upper, ranks):
+        target = [v for v, r in enumerate(ranks) if r == 2][1]
+        return [tuple(v for v in up if v != target) for up in upper], ranks
 
-    def successors(u, m, n):
-        return [w for w in original(u, m, n) if w != target]
-
-    monkeypatch.setattr(triangles, "indel_successors", successors)
+    faulty_covers(monkeypatch, unreachable)
     with pytest.raises(NotGraded, match="no lower cover but rank 2$"):
         m_triangle_brute(2, 2)
 
 
 def test_m_triangle_brute_peak_memory_at_5_4():
-    # the words, their ranks and index and two levels of down-sets peak
-    # near 1.65 MiB under tracemalloc
+    # the derived covers and two levels of down-sets peak near 1.6 MiB
+    # under tracemalloc
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -209,19 +218,20 @@ def test_m_triangle_brute_peak_memory_at_5_4():
 
 
 def test_m_triangle_brute_ignores_the_word_order(monkeypatch):
-    # the levels are read from the ranks, not from the enumeration order
+    # the levels are read from the ranks, not from the word numbers
     expected = {mn: m_triangle_brute(*mn) for mn in ((3, 3), (4, 3))}
-    original = triangles.enumerate_shuffle_words
     shuffler = random.Random(28)
 
-    def shuffled(m, n, size_cap):
-        words = list(original(m, n, size_cap))
-        shuffler.shuffle(words)
-        return words
+    def renumbered(upper, ranks):
+        order = list(range(len(ranks)))  # order[new number] = old number
+        shuffler.shuffle(order)
+        new = {old: v for v, old in enumerate(order)}
+        return [tuple(new[u] for u in upper[old]) for old in order], [ranks[old] for old in order]
 
-    monkeypatch.setattr(triangles, "enumerate_shuffle_words", shuffled)
+    calls = faulty_covers(monkeypatch, renumbered)
     for mn, m_triangle in expected.items():
         assert m_triangle_brute(*mn) == m_triangle == m_triangle_formula(*mn), mn
+    assert calls == list(expected)
 
 
 def test_m_triangle_brute_builds_no_poset(monkeypatch):
@@ -236,16 +246,14 @@ def test_m_triangle_brute_builds_no_poset(monkeypatch):
 
 
 def test_brute_m_ignores_the_successor_order(monkeypatch, capsys):
-    # nothing reads the order of the indel successors: reversed lists
-    # give the same M, the same covers and the same Hasse diagram
+    # nothing reads the order of each word's derived covers: reversed
+    # tuples give the same M, the same covers and the same Hasse diagram
     covers = build_shuffle_lattice(2, 2).covers
-    original = lattices.indel_successors
-
-    def reversed_successors(u, m, n):
-        return original(u, m, n)[::-1]
-
-    for module in (lattices, triangles):
-        monkeypatch.setattr(module, "indel_successors", reversed_successors)
+    calls = faulty_covers(
+        monkeypatch,
+        lambda upper, ranks: ([up[::-1] for up in upper], ranks),
+        (lattices, triangles),
+    )
     assert m_triangle_brute(3, 3) == m_triangle_formula(3, 3)
     assert build_shuffle_lattice(2, 2).covers == covers
     golden = os.path.join(os.path.dirname(__file__), "golden", "hasse_1_2_shuf")
@@ -253,6 +261,7 @@ def test_brute_m_ignores_the_successor_order(monkeypatch, capsys):
         assert cli.run(["hasse", "1", "2", "--order", "shuf", "--format", fmt]) == 0
         with open(f"{golden}.{fmt}") as fh:
             assert capsys.readouterr().out == fh.read(), fmt
+    assert calls == [(3, 3), (2, 2)] + [(1, 2)] * 3
 
 
 def test_m_triangle_brute_above_default_cap():
