@@ -182,7 +182,7 @@ def _cmd_hasse(args):
             )
         ]
     else:
-        upper, _, _ = lattices.indel_covers(m, n, cap)
+        upper, _ = lattices.indel_covers(m, n, cap)
         edges = []
         for u, up in enumerate(upper):
             upper[u] = None  # the edges reuse the memory of the covers

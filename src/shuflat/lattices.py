@@ -81,12 +81,12 @@ def indel_successors(u, m, n):
     return out
 
 
-def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP, with_words=False):
-    """The indel covers of Shuf(m, n), the words numbered in enumeration
-    order: (upper, ranks, words), where upper[v] is the tuple of the upper
-    covers of word v, in no set order, ranks[v] is its rank, and words
-    lists the words if ``with_words`` is set, else is None.  Raises
-    SizeLimitExceeded when there are more than ``size_cap`` words.
+def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
+    """The indel covers of Shuf(m, n), the words numbered in the order of
+    ``enumerate_shuffle_words``: (upper, ranks), where upper[v] is the
+    tuple of the upper covers of word v, in no set order, and ranks[v] is
+    its rank.  Raises SizeLimitExceeded when there are more than
+    ``size_cap`` words.
 
     Appending a letter makes the words a trie.  Say a word is in state
     (a, b) when a and b are its largest x- and y-index (0 if it has none);
@@ -145,25 +145,19 @@ def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP, with_words=False):
             upper.append(tuple(cw))
             ranks.append(r + 1)
             w += 1
-    if not with_words:
-        return upper, ranks, None
-    xs, ys = letters(FAMILY_X, m), letters(FAMILY_Y, n)
-    # the last letters of each state's children, as one-letter words
-    tails = [[(xs[i],) for i in xr] + [(ys[j],) for j in yr] for xr, yr, _ in steps]
-    words = [()]
-    for word, s in zip(words, states):  # breadth first again
-        words += map(word.__add__, tails[s])
-    return upper, ranks, words
+    return upper, ranks
 
 
 def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
     """The shuffle lattice as a graded Poset labelled by the words.
 
     Bottom is x1..xm, top is y1..yn; covers are the single indels, which
-    ``indel_covers`` derives and ``build_poset`` takes one pair at a
-    time, so no list of the pairs is made.
+    ``indel_covers`` derives, numbered as the words are listed, and
+    ``build_poset`` takes one pair at a time, so no list of the pairs is
+    made.
     """
-    upper, _, labels = indel_covers(m, n, size_cap, with_words=True)
+    labels = enumerate_shuffle_words(m, n, size_cap)
+    upper, _ = indel_covers(m, n, size_cap)
     return build_poset(labels, ((a, b) for a, up in enumerate(upper) for b in up))
 
 

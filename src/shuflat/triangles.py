@@ -109,7 +109,7 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     raise the rank by one, or failing that an element of nonzero rank
     without lower covers, is named in NotGraded.
     """
-    upper, ranks, _ = indel_covers(m, n, size_cap)
+    upper, ranks = indel_covers(m, n, size_cap)
     terms = {}
     reached = 0
     walk = mobius_levels(
