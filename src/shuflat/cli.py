@@ -165,10 +165,11 @@ def _cmd_hasse(args):
     cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
     m, n, bub = args.m, args.n, args.order == "bub"
     # nodes are (word, rank), edges (lower, upper, kind or None); every
-    # format renders these two lists.  Each word's covers are sorted into
-    # enumeration order, length then lexicographic: the order of the
-    # lattice's covers and of lattices.bubble_covers.  indel_covers
-    # numbers the words in that order, so its numbers sort as they are.
+    # format renders these two lists.  Each word's covers are in
+    # enumeration order, length then lexicographic, as in
+    # lattices.bubble_covers: upper_bubble_covers sorts them so, and
+    # indel_covers numbers the words in that order, so its numbers sort
+    # as they are.  The words are enumerated once, for both lists.
     listing = words.enumerate_shuffle_words(m, n, cap)
     names = [words.format_word(w) for w in listing]
     nodes = [(name, words.rank(w, m)) for name, w in zip(names, listing)]
@@ -177,9 +178,7 @@ def _cmd_hasse(args):
         edges = [
             (name[u], name[upper], kind)
             for u in listing
-            for upper, kind in sorted(
-                lattices._bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0])
-            )
+            for upper, kind in lattices.upper_bubble_covers(u, m, n)
         ]
     else:
         upper, _ = lattices.indel_covers(m, n, cap)

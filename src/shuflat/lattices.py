@@ -25,7 +25,6 @@ H-triangle needs only each word's count of lower covers by kind, which
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 
@@ -34,9 +33,10 @@ from .words import (
     FAMILY_X,
     FAMILY_Y,
     DEFAULT_SIZE_CAP,
+    _trie,
     check_size,
     enumerate_shuffle_words,
-    letters,
+    singles,
 )
 
 KIND_INDEL = "indel"
@@ -52,28 +52,20 @@ class DegreeTriple(namedtuple("DegreeTriple", "in_total in_indel in_transpose"))
     __slots__ = ()
 
 
-@lru_cache(maxsize=16)
-def _y_words(n):
-    """The one-letter words (y_j,) at index j, for j = 0..n+1, holding the
-    shared letters of ``words.letters``.  y_(n+1) closes the last gap of
-    absent y-indices; nothing inserts it or y_0."""
-    return tuple((y,) for y in letters(FAMILY_Y, n))
-
-
 def indel_successors(u, m, n):
     """All words one indel above u: delete any x-letter, or insert an
     absent y-letter at any position that keeps the word valid.  The
     order of the list is unspecified."""
     out = []
-    singles = _y_words(n)
+    ys = singles(FAMILY_Y, n)
     # each y-letter of u (and y_(n+1) past the end) closes a gap: the
     # absent indices below it go into the slots lo..hi before it
     lo = below = 0
-    for hi, letter in enumerate(u + singles[n + 1]):
+    for hi, letter in enumerate(u + ys[n + 1]):
         if letter.family == FAMILY_X:
             out.append(u[:hi] + u[hi + 1 :])
             continue
-        for y in singles[below + 1 : letter.index]:
+        for y in ys[below + 1 : letter.index]:
             for pos in range(lo, hi + 1):
                 out.append(u[:pos] + y + u[pos:])
         lo = hi + 1
@@ -88,13 +80,10 @@ def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
     its rank.  Raises SizeLimitExceeded when there are more than
     ``size_cap`` words.
 
-    Appending a letter makes the words a trie.  Say a word is in state
-    (a, b) when a and b are its largest x- and y-index (0 if it has none);
-    its children are w x_i for i > a, then w y_j for j > b.  Taken breadth
-    first, each word's children in that order, the trie gives the words
-    in enumeration order, and the children of a word get consecutive
-    numbers.  So child_l(v), the number of v l, is the number of v's first
-    child plus an offset that v's state and the letter l fix.  The upper
+    The words come from the breadth-first walk of their prefix trie
+    (``words._trie``), so the children of a word get consecutive numbers,
+    and child_l(v), the number of v l, is the number of v's first child
+    plus an offset that v's state (a, b) and the letter l fix.  The upper
     covers of a word w = u l are then
     * child_l(v) for each upper cover v of u such that v l is a word: the
       indels of w away from its last place;
@@ -106,22 +95,14 @@ def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
     cost a pointer per cover.
     """
     check_size(m, n, size_cap)
-    span = n + 1  # state (a, b) is the number a * span + b
-    # per state: the children's states, the letter indices they append,
-    # and the offsets of child_x_i and child_y_j from the first child
-    kids, steps, x_off, y_gap, tops = [], [], [], [], []
-    for a in range(m + 1):
-        for b in range(span):
-            xr, yr = range(a + 1, m + 1), range(b + 1, span)
-            kids.append([i * span + b for i in xr] + [a * span + j for j in yr])
-            steps.append((xr, yr, b))
-            x_off.append(-a - 1)
-            y_gap.append(m - b)
-            tops.append(b)
-    states = [0]
-    for s in states:  # breadth first: the list grows as it is read
-        states += kids[s]
-    first = accumulate(map(len, map(kids.__getitem__, states)), initial=1)
+    states, steps = _trie(m, n)
+    span = n + 1
+    # per state: the number of children, the offsets of child_x_i and
+    # child_y_j from the first child, and b; lists, which index faster
+    # through map than tuples do
+    rows = zip(*[(len(x) + len(y), -x.start, m - b, b) for x, y, b in steps])
+    sizes, x_off, y_gap, tops = map(list, rows)
+    first = accumulate(map(sizes.__getitem__, states), initial=1)
     # child_x_i(v) = x_base[v] + i and child_y_j(v) = y_base[v] + j
     x_base = list(map(add, first, map(x_off.__getitem__, states)))
     y_base = list(map(add, x_base, map(y_gap.__getitem__, states)))
@@ -174,24 +155,28 @@ def _bubble_covers_above(u, m, n):
     # Within a gap of absent y-indices only the last slot qualifies: it
     # faces the y-letter that closes the gap (or the end), and every
     # earlier slot faces an x-letter.
-    singles = _y_words(n)
+    ys = singles(FAMILY_Y, n)
     below = 0
-    for hi, letter in enumerate(u + singles[n + 1]):
+    for hi, letter in enumerate(u + ys[n + 1]):
         if letter.family == FAMILY_Y:
-            for y in singles[below + 1 : letter.index]:
+            for y in ys[below + 1 : letter.index]:
                 yield u[:hi] + y + u[hi:], KIND_INDEL
             below = letter.index
 
 
+def upper_bubble_covers(u, m, n):
+    """(upper, kind) for every bubble cover directly above u, the upper
+    words in enumeration order (length, then lexicographic)."""
+    return sorted(_bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0]))
+
+
 def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
     """Every bubble cover pair for (m, n), sorted by lower word, then by
-    upper word, both in enumeration order (length, then lexicographic)."""
+    upper word, both in enumeration order."""
     return [
         BubbleCover(u, upper, kind)
         for u in enumerate_shuffle_words(m, n, size_cap)
-        for upper, kind in sorted(
-            _bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0])
-        )
+        for upper, kind in upper_bubble_covers(u, m, n)
     ]
 
 

@@ -2,9 +2,9 @@
 
 A Poset is built once from labels and cover pairs, then frozen.  It
 keeps each element's upper covers and a topological order, not the
-pairs.  The pair tuple ``covers`` and the order closures ``_up`` and
-``_down`` (bit v of the int ``_up[a]`` says a <= v) are built only when
-first read, which ``up_set``, the tests and the demos do and no route does.
+pairs.  The pair tuple ``covers`` and the order closure ``_up`` (bit v
+of the int ``_up[a]`` says a <= v) are built only when first read, which
+the tests, the demos and the layer tracer do and no route does.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
 mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``mobius_levels`` walks an
@@ -67,21 +67,6 @@ class Poset:
             for w in self._upper[v]:
                 up[v] |= up[w]
         return up
-
-    @cached_property
-    def _down(self):
-        """Bitset of the elements <= v, for every v; built on first read."""
-        down = [1 << v for v in range(self.n)]
-        for v in self._order:
-            for w in self._upper[v]:
-                down[w] |= down[v]
-        return down
-
-    def up_set(self, a: int):
-        """Indices of elements >= a, in rank order."""
-        members = _bits(self._up[a])
-        members.sort(key=self.ranks.__getitem__)
-        return members
 
     def _mobius_row(self, a: int):
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order
@@ -173,16 +158,6 @@ def plane_put_run(planes, values, shift: int) -> None:
         planes[weight] = planes.get(weight, 0) | row << shift
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def build_poset(labels, covers) -> Poset:
     """Build a graded poset from labels and an iterable of cover pairs.
 
@@ -191,7 +166,7 @@ def build_poset(labels, covers) -> Poset:
     Raises CycleDetected if the cover digraph is not a DAG.  Each pair is
     checked as it comes and filed under its lower element.  The Poset
     keeps those upper-cover lists, sorted and deduped, and the topological
-    order, but no pair: ``covers``, ``_up`` and ``_down`` come on first read.
+    order, but no pair: ``covers`` and ``_up`` come on first read.
     """
     n = len(labels)
     upper = [[] for _ in range(n)]

@@ -14,6 +14,7 @@ concatenated, e.g. ``y1y2x2y3x5x6``; the empty word renders as ``e``.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
@@ -79,6 +80,12 @@ def letters(family, count):
     return tuple(Letter(family, i) for i in range(count + 2))
 
 
+@lru_cache(maxsize=16)
+def singles(family, count):
+    """The one-letter words of ``letters(family, count)``, at the same index."""
+    return tuple((letter,) for letter in letters(family, count))
+
+
 def validate(letters: Iterable, m: int, n: int) -> Word:
     """Check a raw letter sequence and return it as a shuffle word.
 
@@ -121,10 +128,12 @@ def shuffle_word_count(m: int, n: int) -> int:
 def check_size(m, n, cap):
     """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words.
 
+    A cap counts as sys.maxsize at most, since no list holds more items.
     The a = 0 term of the count alone is 2^(m+n).  When that is more than
     2^64 times the cap, the size is refused on the bound: the exact count
     costs time and digits that grow with m + n (at (99999999, 1) it takes
     a second and has more digits than ``str`` of an int may print)."""
+    cap = min(cap, sys.maxsize)
     if m + n > cap.bit_length() + 64:
         raise SizeLimitExceeded(None, cap, f"at least 2^{m + n}")
     predicted = shuffle_word_count(m, n)
@@ -132,34 +141,42 @@ def check_size(m, n, cap):
         raise SizeLimitExceeded(predicted, cap)
 
 
-def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
-    """All shuffle words for (m, n), in length-then-lexicographic order.
+def _trie(m, n):
+    """The prefix trie of Shuf(m, n), walked breadth first: (states, steps).
 
-    The letter order is x1 < ... < xm < y1 < ... < yn.  The depth-first
-    walk appends each word before its extensions and tries the letters
-    in that order, so it emits the words in lexicographic order; a
-    stable sort by length alone keeps that order within each length.
-    Every letter is the shared object of ``letters``.  Raises
-    SizeLimitExceeded when the predicted count is above ``size_cap``.
+    A word is in state (a, b) when a and b are its largest x- and y-index
+    (0 if it has none); its children are w x_i for a < i <= m, then w y_j
+    for b < j <= n.  Level by level, each word's children in that order,
+    the walk gives the words by length and each length in lexicographic
+    order.  states[v] = a * (n + 1) + b is the state of the v-th word, and
+    steps[s] = (xr, yr, b) holds the ranges of the i and the j that a child
+    of a word in state s may append, and the state's b."""
+    span = n + 1
+    steps = [
+        (range(a + 1, m + 1), range(b + 1, span), b) for a in range(m + 1) for b in range(span)
+    ]
+    kids = [[i * span + b for i in x] + [s - b + j for j in y] for s, (x, y, b) in enumerate(steps)]
+    states = [0]
+    for s in states:  # the list grows as it is read
+        states += kids[s]
+    return states, steps
+
+
+def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
+    """All shuffle words for (m, n) in the order of the trie walk: by
+    length, then lexicographic, with x1 < ... < xm < y1 < ... < yn.
+
+    Each word is its parent plus a shared one-letter tuple, so every
+    letter is the shared object of ``letters``.  Raises SizeLimitExceeded
+    when the predicted count is above ``size_cap``.
     """
     check_size(m, n, size_cap)
-    xs, ys = letters(FAMILY_X, m), letters(FAMILY_Y, n)
-    out = []
-    stack = []
-
-    def extend(min_x, min_y):
-        out.append(tuple(stack))
-        for i in range(min_x, m + 1):
-            stack.append(xs[i])
-            extend(i + 1, min_y)
-            stack.pop()
-        for j in range(min_y, n + 1):
-            stack.append(ys[j])
-            extend(min_x, j + 1)
-            stack.pop()
-
-    extend(1, 1)
-    out.sort(key=len)
+    states, steps = _trie(m, n)
+    xs, ys = singles(FAMILY_X, m), singles(FAMILY_Y, n)
+    tails = [xs[xr.start : xr.stop] + ys[yr.start : yr.stop] for xr, yr, _ in steps]
+    out = [()]
+    for u, tail in zip(out, map(tails.__getitem__, states)):
+        out += map(u.__add__, tail)
     return out
 
 

@@ -4,7 +4,9 @@ They check Greene's factorization of an upper interval of the shuffle
 lattice, [u, top] ~= prod Shuf(x_block, y_gap), structurally: the
 interval and the direct product are built as posets, and the
 block-splitting map between them is checked to be an order isomorphism.
-Each function takes the Poset it reads as its first argument.
+Each function takes the Poset it reads as its first argument, and so
+do the order closures they read (``up_set`` and ``down_mask``), which
+no route needs.
 
 They also keep the product form of the M<->H substitution, the oracle of
 the packed-int check in ``shuflat.identities._substitution_verdict``,
@@ -32,7 +34,7 @@ from shuflat.lattices import (
     build_shuffle_lattice,
 )
 from shuflat.polyalg import ONE, Q, ZERO, BivarPoly, TruncatedSeries2
-from shuflat.poset import Poset, _bits, build_poset
+from shuflat.poset import Poset, build_poset
 from shuflat.words import FAMILY_X, FAMILY_Y, Letter, Word, enumerate_shuffle_words
 
 
@@ -105,14 +107,36 @@ class NotComparable(ValueError):
     """interval(p, a, b) requires a <= b."""
 
 
+def bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def leq(p: Poset, a: int, b: int) -> bool:
     """True iff b is reachable from a along covers (or a == b)."""
     return bool(p._up[a] >> b & 1)
 
 
+def up_set(p: Poset, a: int):
+    """Indices of the elements >= a, in rank order."""
+    members = bits(p._up[a])
+    members.sort(key=p.ranks.__getitem__)
+    return members
+
+
+def down_mask(p: Poset, v: int) -> int:
+    """Bitset of the elements <= v: those whose up-set holds v."""
+    return sum(1 << u for u in range(p.n) if p._up[u] >> v & 1)
+
+
 def mobius(p: Poset, a: int) -> dict:
     """{v: mu(a, v)} over the up-set of a, zero entries included."""
-    values = dict.fromkeys(_bits(p._up[a]), 0)
+    values = dict.fromkeys(bits(p._up[a]), 0)
     values.update(p._mobius_row(a))
     return values
 
@@ -125,8 +149,8 @@ def interval(p: Poset, a: int, b: int) -> Poset:
     """
     if not leq(p, a, b):
         raise NotComparable(f"elements {a} and {b} are not comparable")
-    mask = p._up[a] & p._down[b]
-    members = _bits(mask)
+    mask = p._up[a] & down_mask(p, b)
+    members = bits(mask)
     position = {v: i for i, v in enumerate(members)}
     labels = [p.labels[v] for v in members]
     covers = [
@@ -175,7 +199,7 @@ def check_order_isomorphism(p: Poset, q: Poset, mapping) -> bool:
         image[a] = fa
     for a in range(p.n):
         mapped = 0
-        for b in _bits(p._up[a]):
+        for b in bits(p._up[a]):
             mapped |= 1 << image[b]
         if mapped != q._up[image[a]]:
             return False

@@ -539,10 +539,22 @@ def test_internal_fault_exits_4(capsys, monkeypatch, fault):
 
 def test_huge_size_cap_is_an_internal_error_not_a_traceback(capsys):
     # used to end in a RecursionError traceback with exit 1, the code of a
-    # verification failure
-    code, out, err = run_cli(capsys, "enumerate", "1200", "0", "--size-cap", "9" * 401)
-    assert (code, out) == (4, "")
-    assert err.startswith("internal error: RecursionError(") and err.count("\n") == 1
+    # verification failure, then in an internal error (exit 4); brute M and
+    # brute ch began the cover pass.  A cap counts as sys.maxsize at most,
+    # so each command is refused before any work.
+    huge = "9" * 401
+    for argv in (
+        ("enumerate", "1200", "0", "--size-cap", huge),
+        ("hasse", "1200", "0", "--size-cap", huge),
+        ("mtriangle", "1200", "0", "--method", "brute", "--size-cap", huge),
+        ("chpoly", "1200", "0", "--method", "brute", "--size-cap", huge),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "refused: enumeration would produce at least 2^1200 words,"
+            f" above the cap of {sys.maxsize}\n"
+        ), argv
 
 
 

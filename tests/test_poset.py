@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from order_helpers import (
     NotComparable,
+    bits,
     bucket_sum,
     check_order_isomorphism,
     direct_product,
+    down_mask,
     interval,
     leq,
     mobius,
+    up_set,
 )
 from shuflat.lattices import build_shuffle_lattice, indel_successors
-from shuflat.poset import CycleDetected, NotGraded, _bits, build_poset, mobius_levels, plane_put_run
+from shuflat.poset import CycleDetected, NotGraded, build_poset, mobius_levels, plane_put_run
 from shuflat.triangles import char_poly_brute, char_poly_formula
 from shuflat.words import enumerate_shuffle_words
 
@@ -143,9 +146,9 @@ def test_mobius_row_sums_vanish():
     p = build_shuffle_lattice(2, 2)
     for a in range(p.n):
         table = mobius(p, a)
-        for b in p.up_set(a):
+        for b in up_set(p, a):
             total = sum(
-                table[r] for r in p.up_set(a) if leq(p, r, b)
+                table[r] for r in up_set(p, a) if leq(p, r, b)
             )
             assert total == (1 if b == a else 0), (a, b)
 
@@ -155,10 +158,10 @@ def test_mobius_dual_recursion():
     p = build_shuffle_lattice(1, 2)
     rows = {a: mobius(p, a) for a in range(p.n)}
     for a in range(p.n):
-        for v in p.up_set(a):
+        for v in up_set(p, a):
             if v == a:
                 continue
-            total = sum(rows[r][v] for r in p.up_set(a) if leq(p, r, v) and r != a)
+            total = sum(rows[r][v] for r in up_set(p, a) if leq(p, r, v) and r != a)
             assert rows[a][v] == -total
 
 
@@ -186,9 +189,9 @@ def test_mobius_row_matches_naive_recursion():
 def test_brute_ch_builds_no_order_closure():
     p = build_shuffle_lattice(4, 4)
     assert char_poly_brute(p) == char_poly_formula(4, 4)
-    assert "_up" not in vars(p) and "_down" not in vars(p)
-    assert len(p.up_set(p.bottom)) == p.n
-    assert "_up" in vars(p) and "_down" not in vars(p)
+    assert "_up" not in vars(p)
+    assert len(up_set(p, p.bottom)) == p.n
+    assert "_up" in vars(p)
     # nor the cover pairs, which a repr counts without building them
     words = enumerate_shuffle_words(4, 4)
     index = {w: i for i, w in enumerate(words)}
@@ -263,8 +266,8 @@ def test_mobius_rows_and_closures_on_random_graded_posets(p):
         upper.setdefault(u, []).append(v)
         lower.setdefault(v, []).append(u)
     for a in range(p.n):
-        assert _bits(p._up[a]) == cover_walk(upper, a), a
-        assert _bits(p._down[a]) == cover_walk(lower, a), a
+        assert bits(p._up[a]) == cover_walk(upper, a), a
+        assert bits(down_mask(p, a)) == cover_walk(lower, a), a
     for a in range(p.n):
         assert p._mobius_row(a) == naive_mobius_row(p, a), a
 

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +11,7 @@ from shuflat.words import (
     Letter,
     OrderViolation,
     SizeLimitExceeded,
+    check_size,
     enumerate_shuffle_words,
     format_word,
     letters,
@@ -163,6 +165,17 @@ def test_enumerate_size_cap():
     with pytest.raises(SizeLimitExceeded) as err:
         enumerate_shuffle_words(40, 44, size_cap=2**20)
     assert err.value.predicted == shuffle_word_count(40, 44)
+
+
+def test_a_cap_above_sys_maxsize_counts_as_sys_maxsize():
+    # 2^1200 words fit under 10^401, but no list holds that many
+    with pytest.raises(SizeLimitExceeded) as err:
+        check_size(1200, 0, 10**401)
+    assert err.value.predicted is None and err.value.cap == sys.maxsize
+    with pytest.raises(SizeLimitExceeded) as err:
+        check_size(64, 0, 10**30)
+    assert err.value.predicted == 2**64 and err.value.cap == sys.maxsize
+    check_size(3, 3, 10**30)
 
 
 def test_words_share_one_letter_object_per_letter():
