@@ -142,15 +142,17 @@ def build_shuffle_lattice(m, n, size_cap=DEFAULT_SIZE_CAP) -> Poset:
     return build_poset(labels, ((a, b) for a, up in enumerate(upper) for b in up))
 
 
-def _bubble_covers_above(u, m, n):
-    """(upper, kind) for every bubble cover directly above u, unsorted."""
+def upper_bubble_covers(u, m, n):
+    """(upper, kind) for every bubble cover directly above u, the upper
+    words in enumeration order (length, then lexicographic)."""
+    out = []
     last = len(u) - 1
     for pos, letter in enumerate(u):
         if letter.family == FAMILY_X:
             if pos == last or u[pos + 1].family == FAMILY_X:
-                yield u[:pos] + u[pos + 1 :], KIND_INDEL
+                out.append((u[:pos] + u[pos + 1 :], KIND_INDEL))
             else:
-                yield u[:pos] + (u[pos + 1], letter) + u[pos + 2 :], KIND_TRANSPOSE
+                out.append((u[:pos] + (u[pos + 1], letter) + u[pos + 2 :], KIND_TRANSPOSE))
     # right insertion: the new y-letter is last or precedes a y-letter.
     # Within a gap of absent y-indices only the last slot qualifies: it
     # faces the y-letter that closes the gap (or the end), and every
@@ -159,15 +161,9 @@ def _bubble_covers_above(u, m, n):
     below = 0
     for hi, letter in enumerate(u + ys[n + 1]):
         if letter.family == FAMILY_Y:
-            for y in ys[below + 1 : letter.index]:
-                yield u[:hi] + y + u[hi:], KIND_INDEL
+            out += [(u[:hi] + y + u[hi:], KIND_INDEL) for y in ys[below + 1 : letter.index]]
             below = letter.index
-
-
-def upper_bubble_covers(u, m, n):
-    """(upper, kind) for every bubble cover directly above u, the upper
-    words in enumeration order (length, then lexicographic)."""
-    return sorted(_bubble_covers_above(u, m, n), key=lambda c: (len(c[0]), c[0]))
+    return sorted(out, key=lambda c: (len(c[0]), c[0]))
 
 
 def bubble_covers(m, n, size_cap=DEFAULT_SIZE_CAP):

@@ -210,11 +210,7 @@ class BivarPoly:
 
     def subs_t(self, value):
         """Substitute an int for t, leaving a polynomial in q, as subs_q."""
-        terms = {}
-        for (dq, dt), coeff in self._terms.items():
-            key = (dq, 0)
-            terms[key] = terms.get(key, 0) + coeff * value**dt
-        return BivarPoly(terms)
+        return self.swap_vars().subs_q(value).swap_vars()
 
     def evaluate(self, q_value, t_value):
         """Exact value at (q_value, t_value); Fractions stay Fractions."""

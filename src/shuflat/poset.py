@@ -1,21 +1,22 @@
 """Finite graded posets: covers, rank, Mobius function, order closure.
 
 A Poset is built once from labels and cover pairs, then frozen.  It
-keeps each element's upper covers and a topological order, not the
-pairs.  The pair tuple ``covers`` and the order closure ``_up`` (bit v
-of the int ``_up[a]`` says a <= v) are built only when first read, which
-the tests, the demos and the layer tracer do and no route does.
+keeps each element's upper covers and its rank, not the pairs.  The pair
+tuple ``covers`` and the order closure ``_up`` (bit v of the int
+``_up[a]`` says a <= v) are built only when first read, which the tests,
+the demos and the layer tracer do and no route does.
 
 A Mobius row mu(a, .) follows the standard recursion mu(a, a) = 1,
 mu(a, v) = -sum of mu(a, r) over a <= r < v.  ``mobius_levels`` walks an
-up-set one rank level at a time along the upper covers and sums this
+up-set one rank level at a time along upper-cover lists and sums this
 recursion against q^rank(u) at every q-degree: brute M reads all the
-degrees of the walk from the bottom word up the indel covers, and
-``Poset._mobius_row`` (brute ch) degree 0 alone of the walk from one
-element.  Each sum is read from signed bit planes: a dict that maps the
-weight 2^b (-2^b) to the plane whose bit i says that element i carries a
-positive (negative) value with bit b set in its magnitude.  Only nonzero
-planes are held.  The sum of the values under a mask is then the sum of
+degrees of the walk from the bottom word up the lists of
+``indel_covers``, and ``Poset._mobius_row`` (brute ch) degree 0 alone
+of the walk from one element up the Poset's own lists.  Each sum is read
+from signed bit planes: a dict that maps the weight 2^b (-2^b) to the
+plane whose bit i says that element i carries a positive (negative)
+value with bit b set in its magnitude.  Only nonzero planes are held.
+The sum of the values under a mask is then the sum of
 weight * |plane & mask| over the planes, one popcount per plane, however
 many distinct values there are.  A level is written into the planes
 with ``plane_put_run``.  As the two brute routes share this walk, each
@@ -42,12 +43,11 @@ class NoBottom(ValueError):
 class Poset:
     """Immutable finite graded poset on elements 0..n-1 with opaque labels."""
 
-    def __init__(self, labels, ranks, upper, order, bottom, top):
+    def __init__(self, labels, ranks, upper, bottom, top):
         self.labels = list(labels)
         self.n = len(self.labels)
         self.ranks = ranks
         self._upper = upper  # upper[a]: the upper covers of a, ascending
-        self._order = order  # the elements in a topological order
         self.bottom = bottom
         self.top = top
 
@@ -61,9 +61,10 @@ class Poset:
 
     @cached_property
     def _up(self):
-        """Bitset of the elements >= a, for every a; built on first read."""
+        """Bitset of the elements >= a, for every a; built on first read,
+        by falling rank, as every cover raises the rank by one."""
         up = [1 << v for v in range(self.n)]
-        for v in reversed(self._order):
+        for v in sorted(range(self.n), key=self.ranks.__getitem__, reverse=True):
             for w in self._upper[v]:
                 up[v] |= up[w]
         return up
@@ -72,19 +73,18 @@ class Poset:
         """Nonzero (v, mu(a, v)) pairs over the up-set of a, in rank order
         and by index within a rank: degree 0 of ``mobius_levels`` from a."""
         out = []
-        for level, (row,) in mobius_levels([a], lambda level: map(self._upper.__getitem__, level), 1):
+        for level, (row,) in mobius_levels([a], self._upper, 1):
             out += [(v, value) for v, value in zip(level, row) if value]
         return out
 
 
-def mobius_levels(first, upper_of, degrees: int):
+def mobius_levels(first, upper, degrees: int):
     """Walk the up-set of the minimal elements ``first`` one level at a
     time, and yield each level, sorted, with ``values``: values[d][i] is
     [q^d] g(v) for the i-th element v of level r, where g(v) is the sum
     of mu(u, v) q^level(u) over the walked u <= v.  values holds the
     degrees d below ``degrees`` and up to r; the others are 0 at level r.
-    ``upper_of(elements)`` gives the upper covers of each of the elements,
-    in their order.
+    upper[v] lists the upper covers of v.
 
     By the Mobius recursion g(v) = q^level(v) - sum of g(w) over w < v.
     The elements are numbered in walk order, so that each level is a run.
@@ -125,7 +125,7 @@ def mobius_levels(first, upper_of, degrees: int):
         # last element first, so that the masks are freed in the reverse
         # order of their making, which keeps the peak RSS down
         below = {}
-        for covers in upper_of(reversed(level)):
+        for covers in map(upper.__getitem__, reversed(level)):
             closed = masks.pop() | 1 << end + len(masks)
             for v in covers:
                 below[v] = below.get(v, 0) | closed
@@ -165,8 +165,8 @@ def build_poset(labels, covers) -> Poset:
     cover must then raise rank by exactly one (NotGraded otherwise).
     Raises CycleDetected if the cover digraph is not a DAG.  Each pair is
     checked as it comes and filed under its lower element.  The Poset
-    keeps those upper-cover lists, sorted and deduped, and the topological
-    order, but no pair: ``covers`` and ``_up`` come on first read.
+    keeps those upper-cover lists, sorted and deduped, and the ranks, but
+    no pair: ``covers`` and ``_up`` come on first read.
     """
     n = len(labels)
     upper = [[] for _ in range(n)]
@@ -211,4 +211,4 @@ def build_poset(labels, covers) -> Poset:
     maximal = [v for v in range(n) if not upper[v]]
     bottom = minimal[0] if len(minimal) == 1 else None
     top = maximal[0] if len(maximal) == 1 else None
-    return Poset(labels, tuple(ranks), upper, order, bottom, top)
+    return Poset(labels, tuple(ranks), upper, bottom, top)

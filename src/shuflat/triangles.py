@@ -112,11 +112,7 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     upper, ranks = indel_covers(m, n, size_cap)
     terms = {}
     reached = 0
-    walk = mobius_levels(
-        [v for v, r in enumerate(ranks) if not r],
-        lambda level: map(upper.__getitem__, level),
-        m + n + 1,
-    )
+    walk = mobius_levels([v for v, r in enumerate(ranks) if not r], upper, m + n + 1)
     for r, (level, values) in enumerate(walk):
         if set(map(ranks.__getitem__, level)) != {r}:
             break

@@ -70,20 +70,15 @@ class Letter(namedtuple("Letter", "family index")):
 Word = tuple  # a shuffle word is a tuple of Letter
 
 
-@lru_cache(maxsize=None)
-def letters(family, count):
-    """The shared letters of a family of ``count`` letters, at their index:
-    ``letters(family, count)[i]`` is ``Letter(family, i)`` for i = 0..count+1.
-    Index 0 and count+1 are not letters of any word; they bound the gaps
-    of absent indices.  Words built from these tables hold the same
-    objects, so tuple comparison of such words meets identical letters."""
-    return tuple(Letter(family, i) for i in range(count + 2))
-
-
 @lru_cache(maxsize=16)
 def singles(family, count):
-    """The one-letter words of ``letters(family, count)``, at the same index."""
-    return tuple((letter,) for letter in letters(family, count))
+    """The shared one-letter words of a family of ``count`` letters, at
+    their index: ``singles(family, count)[i]`` is ``(Letter(family, i),)``
+    for i = 0..count+1.  Index 0 and count+1 are not letters of any word;
+    they bound the gaps of absent indices.  Words built from these tuples
+    hold the same letter objects, so tuple comparison of such words meets
+    identical letters."""
+    return tuple((Letter(family, i),) for i in range(count + 2))
 
 
 def validate(letters: Iterable, m: int, n: int) -> Word:
@@ -126,13 +121,16 @@ def shuffle_word_count(m: int, n: int) -> int:
 
 
 def check_size(m, n, cap):
-    """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words.
+    """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words,
+    and ValueError when m or n is negative.
 
     A cap counts as sys.maxsize at most, since no list holds more items.
     The a = 0 term of the count alone is 2^(m+n).  When that is more than
     2^64 times the cap, the size is refused on the bound: the exact count
     costs time and digits that grow with m + n (at (99999999, 1) it takes
     a second and has more digits than ``str`` of an int may print)."""
+    if m < 0 or n < 0:
+        raise ValueError(f"sizes must be nonnegative, got ({m}, {n})")
     cap = min(cap, sys.maxsize)
     if m + n > cap.bit_length() + 64:
         raise SizeLimitExceeded(None, cap, f"at least 2^{m + n}")
@@ -167,7 +165,7 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     length, then lexicographic, with x1 < ... < xm < y1 < ... < yn.
 
     Each word is its parent plus a shared one-letter tuple, so every
-    letter is the shared object of ``letters``.  Raises SizeLimitExceeded
+    letter is the shared object of ``singles``.  Raises SizeLimitExceeded
     when the predicted count is above ``size_cap``.
     """
     check_size(m, n, size_cap)

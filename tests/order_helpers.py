@@ -30,8 +30,8 @@ from functools import lru_cache
 from shuflat.lattices import (
     KIND_INDEL,
     DegreeTriple,
-    _bubble_covers_above,
     build_shuffle_lattice,
+    upper_bubble_covers,
 )
 from shuflat.polyalg import ONE, Q, ZERO, BivarPoly, TruncatedSeries2
 from shuflat.poset import Poset, build_poset
@@ -338,7 +338,7 @@ def upper_cover_census(m, n):
     listing = enumerate_shuffle_words(m, n)
     counts = {w: [0, 0] for w in listing}
     for u in listing:
-        for upper, kind in _bubble_covers_above(u, m, n):
+        for upper, kind in upper_bubble_covers(u, m, n):
             counts[upper][0 if kind == KIND_INDEL else 1] += 1
     return {
         w: DegreeTriple(indel + transpose, indel, transpose)

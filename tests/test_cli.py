@@ -232,7 +232,7 @@ def test_huge_enumeration_is_refused_before_any_work(capsys, monkeypatch):
     def refuse(family, count):
         raise AssertionError("letter table built")
 
-    monkeypatch.setattr(words, "letters", refuse)
+    monkeypatch.setattr(words, "singles", refuse)
     code, out, err = run_cli(capsys, "enumerate", "99999999", "1")
     assert (code, out) == (3, "")
     assert "above the cap" in err

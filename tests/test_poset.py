@@ -282,13 +282,13 @@ def test_mobius_levels_from_the_minima_sum_the_m_triangle(p):
         for v, mu in naive_mobius_row(p, u):
             key = (p.ranks[u], p.ranks[v])
             expected[key] = expected.get(key, 0) + mu
-    upper = {}
+    upper = [[] for _ in range(p.n)]
     for u, v in p.covers:
-        upper.setdefault(u, []).append(v)
+        upper[u].append(v)
     minima = [v for v in range(p.n) if p.ranks[v] == 0]
     top = max(p.ranks)
     for degrees in (1, top + 1):
-        walk = mobius_levels(minima, lambda level: [upper.get(u, ()) for u in level], degrees)
+        walk = mobius_levels(minima, upper, degrees)
         terms = {}
         for r, (level, values) in enumerate(walk):
             assert level == sorted(v for v in range(p.n) if p.ranks[v] == r)

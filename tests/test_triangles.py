@@ -449,7 +449,7 @@ def test_h_triangle_brute_reads_no_upper_covers(monkeypatch):
     def refuse(u, m, n):
         raise AssertionError("upper covers walked")
 
-    monkeypatch.setattr(lattices, "_bubble_covers_above", refuse)
+    monkeypatch.setattr(lattices, "upper_bubble_covers", refuse)
     assert h_triangle_brute(3, 3) == h_triangle_formula(3, 3)
 
 

@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 import pytest
 
 from order_helpers import bottom_word, interval_shape, top_word, x_letters, y_letters
-from shuflat.lattices import indel_successors
+from shuflat.lattices import bubble_covers, build_shuffle_lattice, indel_covers, indel_successors
+from shuflat.triangles import h_triangle_brute, m_triangle_brute, m_triangle_interval
 from shuflat.words import (
     DuplicateLetter,
     IndexOutOfRange,
@@ -14,10 +15,10 @@ from shuflat.words import (
     check_size,
     enumerate_shuffle_words,
     format_word,
-    letters,
     parse_word,
     rank,
     shuffle_word_count,
+    singles,
     validate,
 )
 
@@ -178,11 +179,30 @@ def test_a_cap_above_sys_maxsize_counts_as_sys_maxsize():
     check_size(3, 3, 10**30)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_shuffle_words(-1, 2),
+        lambda: indel_covers(2, -1),
+        lambda: build_shuffle_lattice(-1, 2),
+        lambda: bubble_covers(-1, 2),
+        lambda: m_triangle_brute(-1, 2),
+        lambda: h_triangle_brute(-1, 2),
+        lambda: m_triangle_interval(-1, 2),
+    ],
+    ids=["enumerate", "indel_covers", "lattice", "bubble", "brute_m", "brute_h", "interval"],
+)
+def test_a_negative_size_is_refused_by_the_size_check(call):
+    # each of these calls check_size before any other work
+    with pytest.raises(ValueError, match="sizes must be nonnegative"):
+        call()
+
+
 def test_words_share_one_letter_object_per_letter():
     # the enumeration and the successor words hold the objects of the
     # letter tables, so equal letters compare by identity
     m, n = 3, 2
-    tables = {"x": letters("x", m), "y": letters("y", n)}
+    tables = {family: [s for (s,) in singles(family, k)] for family, k in (("x", m), ("y", n))}
     assert [str(x) for x in tables["x"]] == ["x0", "x1", "x2", "x3", "x4"]
     assert [str(y) for y in tables["y"]] == ["y0", "y1", "y2", "y3"]
     listing = enumerate_shuffle_words(m, n)
