@@ -1,7 +1,9 @@
 """Finite graded posets: covers, rank, Mobius function, order closure.
 
-A Poset is built once from labels and cover pairs, then frozen.  It
-keeps each element's upper covers and its rank, not the pairs.  The pair
+A Poset is built once from labels and cover pairs, then frozen; it
+keeps each element's upper covers and its rank, not the pairs.
+``build_poset`` ranks each element as Kahn's sort releases it; its
+grading check, ``check_covers_raise_rank``, is brute M's too.  The pair
 tuple ``covers`` and the order closure ``_up`` (bit v of the int
 ``_up[a]`` says a <= v) are built only when first read, which the tests,
 the demos and the layer tracer do and no route does.
@@ -158,11 +160,21 @@ def plane_put_run(planes, values, shift: int) -> None:
         planes[weight] = planes.get(weight, 0) | row << shift
 
 
+def check_covers_raise_rank(upper, ranks) -> None:
+    """Raise NotGraded for the first cover (a, b) of the upper-cover lists,
+    in list order, that does not raise the rank by one: the one check."""
+    for a, up in enumerate(upper):
+        for b in up:
+            if ranks[b] != ranks[a] + 1:
+                raise NotGraded(f"cover ({a},{b}) spans ranks {ranks[a]}..{ranks[b]}")
+
+
 def build_poset(labels, covers) -> Poset:
     """Build a graded poset from labels and an iterable of cover pairs.
 
-    Rank is the longest-path distance from the minimal elements; every
-    cover must then raise rank by exactly one (NotGraded otherwise).
+    Rank is the longest-path distance from the minimal elements, set as
+    Kahn's sort releases each element; every cover must then raise rank
+    by exactly one (NotGraded otherwise, from check_covers_raise_rank).
     Raises CycleDetected if the cover digraph is not a DAG.  Each pair is
     checked as it comes and filed under its lower element.  The Poset
     keeps those upper-cover lists, sorted and deduped, and the ranks, but
@@ -183,32 +195,22 @@ def build_poset(labels, covers) -> Poset:
         for b in up:
             indegree[b] += 1
 
-    # Kahn topological sort; shortfall means a cycle.
-    order = [v for v in range(n) if indegree[v] == 0]
-    remaining = indegree[:]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in upper[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                order.append(w)
-    if len(order) != n:
-        raise CycleDetected("cover relation contains a directed cycle")
-
+    # Kahn's sort from the minimal elements; a rank is final on release,
+    # as all the lower covers came first.  A shortfall means a cycle.
+    order = [v for v in range(n) if not indegree[v]]
+    bottom = order[0] if len(order) == 1 else None
     ranks = [0] * n
     for v in order:
         for w in upper[v]:
-            if ranks[v] + 1 > ranks[w]:
+            if ranks[w] <= ranks[v]:
                 ranks[w] = ranks[v] + 1
-    for a, up in enumerate(upper):
-        for b in up:
-            if ranks[b] != ranks[a] + 1:
-                raise NotGraded(f"cover ({a},{b}) spans ranks {ranks[a]}..{ranks[b]}")
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) != n:
+        raise CycleDetected("cover relation contains a directed cycle")
+    check_covers_raise_rank(upper, ranks)
 
-    minimal = [v for v in range(n) if not indegree[v]]
     maximal = [v for v in range(n) if not upper[v]]
-    bottom = minimal[0] if len(minimal) == 1 else None
     top = maximal[0] if len(maximal) == 1 else None
     return Poset(labels, tuple(ranks), upper, bottom, top)

@@ -15,7 +15,7 @@ Routes implemented:
   covers that ``lattices.indel_covers`` derives.  Its degree-0 plane from
   the bottom of the Poset that ``build_shuffle_lattice`` makes of them is
   the Mobius row for ch, and its every degree, walked without a Poset,
-  gives M (see m_triangle_brute, which checks the grading itself); and
+  gives M (m_triangle_brute checks the grading with build_poset's check); and
   for H the census of bubble lower covers, which each word's letters
   give by kind;
 * the interval decomposition: M(q,t) = sum over words u of
@@ -48,7 +48,7 @@ from __future__ import annotations
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_covers
-from .poset import NoBottom, NotGraded, Poset, mobius_levels
+from .poset import NoBottom, NotGraded, Poset, check_covers_raise_rank, mobius_levels
 from .polyalg import ONE, Q, T, BivarPoly, TruncatedSeries2, _powers, geometric_denominator
 from .words import check_size, enumerate_shuffle_words, rank
 
@@ -105,9 +105,9 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     No Poset is built, and only the order relation is read, not the
     interval factorization.  The rank order is trusted only as far as it
     is checked: every element of walk level r must have rank r, and the
-    walk must reach every word.  Else the first cover that does not
-    raise the rank by one, or failing that an element of nonzero rank
-    without lower covers, is named in NotGraded.
+    walk must reach every word.  Else NotGraded names the first cover
+    that does not raise the rank by one (poset.check_covers_raise_rank),
+    or failing that an element of nonzero rank without lower covers.
     """
     upper, ranks = indel_covers(m, n, size_cap)
     terms = {}
@@ -124,12 +124,8 @@ def m_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
             return BivarPoly(terms)
     # if every cover raises the rank by one, a missed word of least rank
     # has no lower cover, so one of the two raises below
-    covered = set()
-    for v, (r, covers) in enumerate(zip(ranks, upper)):
-        for u in covers:
-            if ranks[u] != r + 1:
-                raise NotGraded(f"cover ({v},{u}) spans ranks {r}..{ranks[u]}")
-            covered.add(u)
+    check_covers_raise_rank(upper, ranks)
+    covered = set().union(*upper)
     v = next(v for v, r in enumerate(ranks) if r and v not in covered)
     raise NotGraded(f"element {v} has no lower cover but rank {ranks[v]}")
 

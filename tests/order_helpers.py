@@ -144,19 +144,21 @@ def mobius(p: Poset, a: int) -> dict:
 def interval(p: Poset, a: int, b: int) -> Poset:
     """The induced sub-poset on {r : a <= r <= b}, ranks re-based at a.
 
-    Materialized as an independent Poset; raises NotComparable when
-    a is not below b.
+    Materialized as an independent Poset, from the members of a's up-set
+    whose up-set holds b and their upper-cover lists, so the covers come
+    in the order of ``p.covers``; raises NotComparable when a is not
+    below b.
     """
     if not leq(p, a, b):
         raise NotComparable(f"elements {a} and {b} are not comparable")
-    mask = p._up[a] & down_mask(p, b)
-    members = bits(mask)
+    members = [v for v in bits(p._up[a]) if p._up[v] >> b & 1]
     position = {v: i for i, v in enumerate(members)}
     labels = [p.labels[v] for v in members]
     covers = [
         (position[lo], position[hi])
-        for lo, hi in p.covers
-        if mask >> lo & 1 and mask >> hi & 1
+        for lo in members
+        for hi in p._upper[lo]
+        if hi in position
     ]
     return build_poset(labels, covers)
 

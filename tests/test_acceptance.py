@@ -117,8 +117,8 @@ def test_criterion_4_characteristic_polynomials():
     for m in range(5):
         for n in range(5):
             lat = lattice(m, n)
-            for u in lat.labels:
-                sub = interval(lat, lat.labels.index(u), lat.top)
+            for a, u in enumerate(lat.labels):
+                sub = interval(lat, a, lat.top)
                 factors, _ = interval_decomposition_map(u, m, n)
                 product = ONE
                 for e, l in factors:

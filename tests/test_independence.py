@@ -75,9 +75,6 @@ PLUMBING_OF = {
     },
 }
 
-_PREFIX = {"mtriangle": "m", "htriangle": "h", "chpoly": "ch"}
-
-
 def _route(kind, method):
     return lambda: triangles.compute(kind, M, N, method)
 
@@ -89,7 +86,8 @@ def _composition_lhs(k=2):
 
 
 CASES = {
-    f"{_PREFIX[kind]}-{a}-vs-{b}": (_route(kind, a), _route(kind, b))
+    # named as verify names its verdicts, from the library's own prefixes
+    f"{identities._KIND_PREFIX[kind]}-{a}-vs-{b}": (_route(kind, a), _route(kind, b))
     for kind, methods in triangles.METHODS.items()
     for a, b in combinations(methods, 2)
 }
