@@ -67,9 +67,7 @@ def _factor_series(max_m, max_n, max_k, full_exponent):
 def _power_part(cell, k) -> BivarPoly:
     """[x^m y^n] F^(k+1) from cell (m, n+k+1) of 1/(1 - qt y F): its
     q^(k+1) part, (qt)^(k+1) times that sum, with t shifted down by k+1."""
-    part = BivarPoly.__new__(BivarPoly)
-    part._terms = {(0, dt - k - 1): c for (dq, dt), c in cell._terms.items() if dq == k + 1}
-    return part
+    return BivarPoly._of({(0, dt - k - 1): c for (dq, dt), c in cell._terms.items() if dq == k + 1})
 
 
 def inner_sum_lhs(m, n, k) -> BivarPoly:

@@ -25,11 +25,13 @@ One recurrence serves every reader.  reciprocal() reads every row as
 it is done, a mirror pair once, with the cell reader it is given: a
 BivarPoly by default, or the cell's text or JSON terms written
 straight from its packed int, with no BivarPoly and no sort (shuflat
-series).  reciprocal_coefficient() decodes the last cell alone, and
-reciprocal_column() the last column, each dropping the other rows as
-soon as no later row reads them.  geometric_denominator() builds the
-1 - qt y F that the interval route and the composition identity invert;
-identities checks the M<->H substitution relations in the same layout.
+series).  The text reader and str() share one term formatter.  Rows
+are dropped as soon as no later row reads them: reciprocal_coefficient()
+holds no cell beyond those rows and decodes the final row's last cell,
+and reciprocal_column() keeps the last cell of each row and decodes
+those.  geometric_denominator() builds the 1 - qt y F that the interval
+route and the composition identity invert; identities checks the M<->H
+substitution relations in the same layout.
 """
 
 from __future__ import annotations
@@ -68,6 +70,21 @@ def _ordered(terms):
     return sorted([(dq + dt, dt, dq, c) for (dq, dt), c in terms.items()], reverse=True)
 
 
+def _render(rows):
+    """The text of (coefficient, monomial name) rows in output order, each
+    coefficient nonzero; "0" for no rows.  str() of a BivarPoly and the
+    series text reader both write their terms here."""
+    out = "".join([
+        f" + {c}{name}" if c > 1
+        else f" - {-c}{name}" if c < -1
+        else (" + " if c > 0 else " - ") + (name[1:] or "1")
+        for c, name in rows
+    ])
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
 class BivarPoly:
     """Sparse polynomial in q and t with exact integer coefficients."""
 
@@ -94,6 +111,14 @@ class BivarPoly:
     @classmethod
     def monomial(cls, dq, dt, coeff=1):
         return cls({(dq, dt): coeff})
+
+    @classmethod
+    def _of(cls, terms):
+        """The polynomial of a term map that is already canonical, taken
+        as it is, unchecked and uncopied."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- structure ----------------------------------------------------
 
@@ -136,16 +161,12 @@ class BivarPoly:
                 terms[key] = new
             elif key in terms:
                 del terms[key]
-        out = BivarPoly.__new__(BivarPoly)
-        out._terms = terms
-        return out
+        return BivarPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = BivarPoly.__new__(BivarPoly)
-        out._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return out
+        return BivarPoly._of({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -171,14 +192,12 @@ class BivarPoly:
                     terms[key] = new
                 elif key in terms:
                     del terms[key]
-        out = BivarPoly.__new__(BivarPoly)
-        out._terms = terms
-        return out
+        return BivarPoly._of(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = BivarPoly.constant(1)
         base = self
@@ -194,9 +213,7 @@ class BivarPoly:
 
     def swap_vars(self):
         """Exchange the roles of q and t."""
-        out = BivarPoly.__new__(BivarPoly)
-        out._terms = {(dt, dq): coeff for (dq, dt), coeff in self._terms.items()}
-        return out
+        return BivarPoly._of({(dt, dq): coeff for (dq, dt), coeff in self._terms.items()})
 
     def subs_q(self, value):
         """Substitute an int for q, leaving a polynomial in t.  The value
@@ -222,16 +239,8 @@ class BivarPoly:
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         names = _MONOMIALS
-        out = "".join([
-            f" + {c}{names[dq, dt]}" if c > 1
-            else f" - {-c}{names[dq, dt]}" if c < -1
-            else (" + " if c > 0 else " - ") + (names[dq, dt][1:] or "1")
-            for _, dt, dq, c in _ordered(self._terms)
-        ])
-        return out[3:] if out[1] == "+" else "-" + out[3:]
+        return _render([(c, names[dq, dt]) for _, dt, dq, c in _ordered(self._terms)])
 
     def __repr__(self):
         return f"BivarPoly({self})"
@@ -318,27 +327,23 @@ class TruncatedSeries2:
         """reciprocal().coefficient(max_x, max_y), with only that cell
         decoded, the series transposed as in reciprocal() if tall."""
         tall = self.max_x > self.max_y
-        slots, column = (self._transpose() if tall else self)._packed_column()
-        return slots.decode(*column[-1])
+        slots, _, rows = (self._transpose() if tall else self)._packed_rows()
+        for values, boxes in rows:
+            pass  # run the rows to the last, holding only those in reach
+        return slots.decode(values[-1], boxes[-1])
 
     def reciprocal_column(self) -> list:
         """[reciprocal().coefficient(i, max_y) for i in 0..max_x], with
         only those cells decoded: the last cell of each row, the rows
         along x even if self is tall, which only loses the mirror."""
-        slots, column = self._packed_column()
+        slots, _, rows = self._packed_rows()
+        column = [(values[-1], boxes[-1]) for values, boxes in rows]
         # one box that holds every cell's box, so its slots are listed once
         box = tuple(map(max, zip(*[box for _, box in column])))
         return [slots.decode(value, box) for value, _ in column]
 
     def _transpose(self) -> "TruncatedSeries2":
         return TruncatedSeries2(self.max_y, self.max_x, [list(c) for c in zip(*self.coeff)])
-
-    def _packed_column(self):
-        """(slots, cells): the packed (value, box) of S[0][max_y], ...,
-        S[max_x][max_y], the last cell of each row, which no mirror
-        leaves out."""
-        slots, _, rows = self._packed_rows()
-        return slots, [(values[-1], boxes[-1]) for values, boxes in rows]
 
     def _packed_rows(self):
         """The reciprocal's recurrence on packed ints, one row at a time.
@@ -508,12 +513,13 @@ class _Slots:
     Three cell readers share one digit reader, which reads only the
     slots inside box = (deg_q, deg_t, lead): dt <= deg_t and dq <=
     min(deg_q, dt + lead), in canonical term order.  ``decode(value,
-    box)`` makes the BivarPoly; ``text`` writes its str() and ``json``
-    its to_json_terms() straight from the digits, with no term map and
-    no sort.  The slices, keys and monomial names of a box's slots are
-    listed once per box.  The slice and key objects themselves are made
-    on the first read, once per layout, and shared by every box; a
-    layout that is never read makes none.
+    box)`` makes the BivarPoly; ``text`` writes its str(), through the
+    formatter that str() uses, and ``json`` its to_json_terms(), both
+    straight from the digits, with no term map and no sort.  The slices,
+    keys and monomial names of a box's slots are listed once per box.
+    The slice and key objects themselves are made on the first read,
+    once per layout, and shared by every box; a layout that is never
+    read makes none.
     """
 
     READERS = ("decode", "text", "json")
@@ -547,24 +553,12 @@ class _Slots:
 
     def decode(self, value, box) -> BivarPoly:
         coeffs, (_, keys, _, _) = self._digits(value, box)
-        poly = BivarPoly.__new__(BivarPoly)
-        poly._terms = dict(compress(zip(keys, coeffs), coeffs))
-        return poly
+        return BivarPoly._of(dict(compress(zip(keys, coeffs), coeffs)))
 
     def text(self, value, box) -> str:
         """str(self.decode(value, box)), written from the digits."""
-        # BivarPoly.__str__'s per-term format; __str__ keeps its own loop,
-        # as routing it through here slowed the median formula request
         coeffs, (_, _, names, _) = self._digits(value, box)
-        out = "".join([
-            f" + {c}{name}" if c > 1
-            else f" - {-c}{name}" if c < -1
-            else (" + " if c > 0 else " - ") + (name[1:] or "1")
-            for c, name in compress(zip(coeffs, names), coeffs)
-        ])
-        if not out:
-            return "0"
-        return out[3:] if out[1] == "+" else "-" + out[3:]
+        return _render(compress(zip(coeffs, names), coeffs))
 
     def json(self, value, box) -> list:
         """self.decode(value, box).to_json_terms(), written from the digits."""
@@ -619,9 +613,7 @@ def geometric_denominator(factors, max_y) -> TruncatedSeries2:
     for b, row in enumerate(factors):
         cells = [ZERO if b else ONE]
         for factor in row:
-            cell = BivarPoly.__new__(BivarPoly)
-            cell._terms = {(1, dt + 1): -c for (_, dt), c in factor._terms.items()}
-            cells.append(cell)
+            cells.append(BivarPoly._of({(1, dt + 1): -c for (_, dt), c in factor._terms.items()}))
         grid.append(cells + [ZERO] * (max_y - len(row)))
     return TruncatedSeries2(len(factors) - 1, max_y, grid)
 

@@ -32,6 +32,7 @@ ARITHMETIC = "test_oracles.py::test_bivarpoly_arithmetic_matches_sympy and test_
 PLUMBING = {
     "polyalg.BivarPoly.__init__": ARITHMETIC,
     "polyalg.BivarPoly.__mul__": ARITHMETIC,
+    "polyalg.BivarPoly._of": ARITHMETIC,
     "polyalg.BivarPoly.constant": "test_polyalg.py::test_constants_and_equality",
     "triangles.compute": "this test: a route dispatched for another makes its pair share that route",
     "words.check_size": "test_words.py::test_enumerate_size_cap; it refuses work and makes no coefficient",
@@ -60,7 +61,6 @@ PLUMBING_OF = {
         **dict.fromkeys(
             (
                 "polyalg.TruncatedSeries2.__init__",
-                "polyalg.TruncatedSeries2._packed_column",
                 "polyalg.TruncatedSeries2._packed_rows",
                 "polyalg._Slots.__init__",
                 "polyalg._Slots._digits",

@@ -678,6 +678,13 @@ def test_bool_operand_is_refused():
             operation()
 
 
+def test_pow_takes_a_nonnegative_int_only():
+    # a bool is refused here too, not taken for 0 or 1
+    for exponent in (-1, 1.0, True):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            Q**exponent
+
+
 def test_bool_compares_unequal():
     # == takes an int for a constant, but a bool is not one: it compares
     # unequal instead of raising, as the arithmetic above refuses it

@@ -32,3 +32,27 @@ def test_src_lines_counts_code_lines_and_sums_the_module_rows(tmp_path, capsys):
     assert header == ["module", "lines", "code"]
     assert rows and all(name.endswith(".py") for name, _, _ in rows)
     assert total == ["total", str(sum(int(r[1]) for r in rows)), str(sum(int(r[2]) for r in rows))]
+
+
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def test_output_digest_is_stable_and_sees_a_changed_rendering(monkeypatch):
+    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from shuflat.polyalg import BivarPoly
+
+    requests = [
+        ["mtriangle", "2", "1", "--method", "formula"],
+        ["verify", "--suite", "relations", "--max-m", "1", "--max-n", "1", "--json", tool.REPORT],
+        ["enumerate", "4", "4", "--size-cap", "1"],
+    ]
+    first = tool.digests(requests)
+    assert [text for text, _ in first] == [" ".join(r) for r in requests] + ["total (3 requests)"]
+    assert tool.digests(requests) == first
+
+    monkeypatch.setattr(BivarPoly, "__str__", lambda self: "changed")
+    changed = tool.digests(requests)
+    assert changed[0][1] != first[0][1] and changed[-1][1] != first[-1][1]
+    assert changed[2] == first[2]  # the refusal renders no polynomial

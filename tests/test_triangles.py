@@ -216,6 +216,25 @@ def test_m_triangle_brute_peak_memory_at_5_4():
     assert peak < 2.5 * 2**20, peak / 2**20
 
 
+def test_m_series_coefficient_peak_memory_at_30_30():
+    # only the rows in reach and the last cell are held: near 2 MiB under
+    # tracemalloc, against about 3 MiB when the last cell of every row was
+    # kept to the end
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    try:
+        m_triangle = triangles.m_series_coefficient(30, 30)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert m_triangle == m_triangle_formula(30, 30)
+    assert peak < 2.5 * 2**20, peak / 2**20
+
+
 def test_m_triangle_brute_ignores_the_word_order(monkeypatch):
     # the levels are read from the ranks, not from the word numbers
     expected = {mn: m_triangle_brute(*mn) for mn in ((3, 3), (4, 3))}
