@@ -117,7 +117,7 @@ def _parser():
     )
     p.add_argument("--max-m", type=_nonneg, default=None)
     p.add_argument("--max-n", type=_nonneg, default=None)
-    p.add_argument("--series-max", type=_nonneg, default=8)
+    p.add_argument("--series-max", type=_nonneg, default=identities.SERIES_BOUND)
     p.add_argument("--json", metavar="REPORT", help="also write a JSON report")
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -284,9 +284,8 @@ def emit_report(verdicts, notes=()):
 
 def _cmd_verify(args):
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
-    verdicts, notes = identities.run_suites(
-        names, args.max_m, args.max_n, args.series_max
-    )
+    verdicts = identities.run_suites(names, args.max_m, args.max_n, args.series_max)
+    notes = [v.detail for v in verdicts if v.name == identities.ADJUDICATION]
     # one order, by (name, params), for the text and the JSON report
     verdicts.sort(key=lambda v: (v.name, v.params))
     text, failed = emit_report(verdicts, notes)

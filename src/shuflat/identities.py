@@ -37,10 +37,14 @@ from . import triangles
 from .polyalg import ONE, Q, T, BivarPoly, _extent, _powers, _shift_add, _Slots, geometric_denominator
 from .words import check_size
 
-#: Default bound of the identity and relation checks, and of the
-#: brute-force comparisons in the methods suite.
+#: Default bounds: of the identity and relation checks, of the
+#: brute-force comparisons in the methods suite, and of its series checks.
 FORMULA_BOUND = 6
 BRUTE_BOUND = 4
+SERIES_BOUND = 8
+#: The methods verdict whose detail says which denominator cross term is
+#: the real one; the command line prints that detail as a note.
+ADJUDICATION = "series-cross-term-adjudication"
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +153,9 @@ def _first_failure(name, params, cases):
 
 def _substitution_verdict(name, m, n, h, target, a, b, c):
     """(q-1)^d target against sum_ij [q^i t^j]h a^i b^j (q-1)^(d+i-j) c^(d-i), d = m+n,
-    for the H-triangle ``h`` of Shuf(m, n); a term of h outside i <= d,
-    j <= d+i, or a negative exponent in target, a, b or c, raises ValueError.
+    for the H-triangle ``h`` of Shuf(m, n), by default (None) the formula's;
+    a term of h outside i <= d, j <= d+i, or a negative exponent in target,
+    a, b or c, raises ValueError.
 
     Both sides are compared as their ints in one _Slots layout, whose
     bounds are taken before any product.  The q-degree of a side is at
@@ -160,6 +165,8 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     coefficients are at most its l1 norm, at most sum |h_ij| |a|^i |b|^j
     2^(d+i-j) |c|^(d-i) on the right and 2^d |target| on the left.
     """
+    if h is None:
+        h = triangles.h_triangle_formula(m, n)
     d = m + n
     terms = h._terms.items()  # the bounds and rows below need no term order
     for (i, j), _ in terms:
@@ -202,8 +209,6 @@ def verify_h_to_m(m, n, h=None) -> IdentityVerdict:
     """M(q,t) = (1-t)^d H(t(q-1)/(1-t), q/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d M = sum_ij [q^i t^j]H t^i (q-1)^(d+i-j) (1-t)^(d-i) q^j.
     ``h`` is H(m, n), by default the formula's."""
-    if h is None:
-        h = triangles.h_triangle_formula(m, n)
     target = triangles.m_triangle_formula(m, n)
     return _substitution_verdict("h-to-m", m, n, h, target, T, Q, 1 - T)
 
@@ -212,8 +217,6 @@ def verify_char_from_h(m, n, h=None) -> IdentityVerdict:
     """ch(q) = q^d H((q-1)/q, (1-2q)/(q-1)), d = m+n, times (q-1)^d:
     (q-1)^d ch = sum_ij [q^i t^j]H (q-1)^(d+i-j) q^(d-i) (1-2q)^j.
     ``h`` is H(m, n), by default the formula's."""
-    if h is None:
-        h = triangles.h_triangle_formula(m, n)
     target = triangles.char_poly_formula(m, n)
     return _substitution_verdict("char-from-h", m, n, h, target, ONE, 1 - 2 * Q, Q)
 
@@ -303,7 +306,7 @@ def _specialization_cases(formula):
             )
 
 
-def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
+def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=SERIES_BOUND):
     """Cross-validate every computation route against the brute-force
     route of its kind, then the series and the specializations."""
     # refuse before any work when the largest lattice is above the cap
@@ -351,28 +354,17 @@ def run_methods_suite(max_m=BRUTE_BOUND, max_n=BRUTE_BOUND, series_max=8):
     )
     verdicts.append(_first_failure("specializations", square, _specialization_cases(formula)))
 
+    # which denominator cross term gives the brute-force M-triangle
     adjudication = triangles.adjudicate_series_cross_term()
-    verdicts.append(
-        IdentityVerdict(
-            "series-cross-term-adjudication",
-            triangles._ADJUDICATION_SQUARE,
-            adjudication[triangles.CROSS_TERM_Q_MINUS_1]
-            and not adjudication[triangles.CROSS_TERM_Q_PLUS_1],
-            detail=cross_term_note(adjudication),
-        )
-    )
-    return verdicts
-
-
-def cross_term_note(adjudication) -> str:
-    """Human sentence stating which denominator cross term is the real one,
-    given the verdicts of ``triangles.adjudicate_series_cross_term``."""
     minus = adjudication[triangles.CROSS_TERM_Q_MINUS_1]
     plus = adjudication[triangles.CROSS_TERM_Q_PLUS_1]
-    return (
+    detail = (
         f"generating-function denominator cross term: -t(1-t)(q-1)xy matches "
         f"the brute-force M-triangle: {minus}; +t(1-t)(q+1)xy matches: {plus}"
     )
+    square = triangles._ADJUDICATION_SQUARE
+    verdicts.append(IdentityVerdict(ADJUDICATION, square, minus and not plus, detail=detail))
+    return verdicts
 
 
 # Each runner takes the bounds that were set and the series bound; an
@@ -386,12 +378,12 @@ SUITES = {
 }
 
 
-def run_suites(names, max_m=None, max_n=None, series_max=8):
-    """Run the named suites; returns (verdicts, notes).
+def run_suites(names, max_m=None, max_n=None, series_max=SERIES_BOUND):
+    """Run the named suites; returns their verdicts, suite by suite.
 
-    Default parameter bounds: brute-force comparisons up to (4, 4),
-    identity and relation checks up to (6, 6), series extraction up to
-    (8, 8).
+    An unset bound takes the suite's default: BRUTE_BOUND for the
+    brute-force comparisons, FORMULA_BOUND for the identity and relation
+    checks; the series checks run up to SERIES_BOUND unless told.
     An unknown name, or a methods suite whose largest brute-force lattice
     is above the cap, is refused before any suite runs.
     """
@@ -409,12 +401,4 @@ def run_suites(names, max_m=None, max_n=None, series_max=8):
             bounds.get("max_n", BRUTE_BOUND),
             triangles.BRUTE_SIZE_CAP,
         )
-    verdicts = []
-    notes = []
-    for name in names:
-        produced = SUITES[name](bounds, series_max)
-        verdicts.extend(produced)
-        notes.extend(
-            v.detail for v in produced if v.name == "series-cross-term-adjudication"
-        )
-    return verdicts, notes
+    return [v for name in names for v in SUITES[name](bounds, series_max)]

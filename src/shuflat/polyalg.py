@@ -216,9 +216,11 @@ class BivarPoly:
         return BivarPoly._of({(dt, dq): coeff for (dq, dt), coeff in self._terms.items()})
 
     def subs_q(self, value):
-        """Substitute an int for q, leaving a polynomial in t.  The value
-        must be an int: a Fraction makes coefficients that are not ints,
-        and BivarPoly refuses them with ValueError."""
+        """Substitute an int for q, leaving a polynomial in t.  Any other
+        value, a Fraction or a bool, raises ValueError, as a coefficient
+        that is no int does."""
+        if type(value) is not int:
+            raise ValueError(f"coefficients must be ints, got {value!r}")
         terms = {}
         for (dq, dt), coeff in self._terms.items():
             key = (0, dt)
@@ -303,8 +305,8 @@ class TruncatedSeries2:
         Input contract: the constant coefficient must be exactly 1
         (else NonUnitConstantTerm).  The other cells are BivarPoly with
         integer coefficients or plain ints, which stand for constants.
-        A coefficient with a negative exponent raises ValueError before
-        any work.
+        A bool cell, or a coefficient with a negative exponent, raises
+        ValueError before any work.
         """
         if reader not in _Slots.READERS:
             raise ValueError(f"unknown cell reader {reader!r}")
@@ -390,10 +392,10 @@ class TruncatedSeries2:
         nonconstant = []
         for i, line in enumerate(self.coeff):
             for j, cell in enumerate(line):
-                if (i, j) == (0, 0) or not cell:
-                    continue
-                terms = {(0, 0): cell} if isinstance(cell, int) else cell._terms
-                nonconstant.append((i, j, terms, *_extent(terms)))
+                if isinstance(cell, int):
+                    cell = BivarPoly.constant(cell)  # refuses a bool, as from_terms does
+                if (i, j) != (0, 0) and cell:
+                    nonconstant.append((i, j, cell._terms, *_extent(cell._terms)))
         mirror = rows <= cols and all(
             self.coeff[i][j] == self.coeff[j][i] for i in range(rows) for j in range(i)
         )

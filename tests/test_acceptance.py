@@ -91,7 +91,12 @@ def test_criterion_2_generating_series():
             for j in range(9)
         )
     adjudication = triangles.adjudicate_series_cross_term()
-    print(f"  note: {identities.cross_term_note(adjudication)}")
+    # the note that `verify` prints: the adjudication verdict's detail
+    (verdict,) = [
+        v for v in identities.run_methods_suite(0, 0, series_max=0)
+        if v.name == identities.ADJUDICATION
+    ]
+    print(f"  note: {verdict.detail}")
     ok = ok and adjudication[CROSS_TERM_Q_MINUS_1]
     ok = ok and not adjudication[CROSS_TERM_Q_PLUS_1]
     report(2, "generating-series coefficients equal the closed form (m,n <= 8)", ok, started)

@@ -356,6 +356,24 @@ def test_verify_methods_prints_adjudication(capsys):
     assert "+t(1-t)(q+1)xy" in out
 
 
+def test_verify_methods_report_notes_are_the_adjudication_detail(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "methods", "--max-m", "1", "--max-n", "1",
+        "--series-max", "2", "--json", str(report),
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    (adjudication,) = [
+        v for v in payload["verdicts"] if v["name"] == "series-cross-term-adjudication"
+    ]
+    assert adjudication["detail"]
+    assert payload["notes"] == [adjudication["detail"]]
+    assert [line for line in out.splitlines() if line.startswith("NOTE ")] == [
+        f"NOTE {adjudication['detail']}"
+    ]
+
+
 def test_verify_deterministic(capsys):
     first = run_cli(capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1")
     second = run_cli(capsys, "verify", "--suite", "relations", "--max-m", "1", "--max-n", "1")
@@ -419,7 +437,7 @@ def test_emit_report_failure_path(capsys, monkeypatch):
 
     # a failing verdict must surface as exit code 1
     monkeypatch.setattr(
-        "shuflat.identities.run_suites", lambda *a, **k: ([bad], [])
+        "shuflat.identities.run_suites", lambda *a, **k: [bad]
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "relations")
     assert code == 1

@@ -346,6 +346,15 @@ def test_reciprocal_reads_raw_int_cells_as_constants():
     assert s.coeff == [[ONE, BivarPoly.constant(2)], [ZERO, BivarPoly.constant(-3)]]
 
 
+def test_reciprocal_refuses_raw_bool_cells():
+    # a bool is no int cell, as from_terms refuses it too
+    for cell in (True, False):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            TruncatedSeries2(2, 0, [[ONE], [cell], [ZERO]]).reciprocal()
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            TruncatedSeries2.from_terms({(0, 0): ONE, (1, 0): cell}, 2, 0)
+
+
 def test_reciprocal_rejects_negative_exponents():
     with pytest.raises(ValueError, match="negative exponent"):
         inverse({(0, 0): ONE, (1, 0): BivarPoly({(-1, 0): -1})}, 3, 0)
@@ -700,6 +709,9 @@ def test_substitutions_take_ints_only():
     for substitute in (p.subs_q, p.subs_t):
         with pytest.raises(ValueError, match="coefficients must be ints"):
             substitute(Fraction(1, 2))
+        for value in (True, False):
+            with pytest.raises(ValueError, match="coefficients must be ints"):
+                substitute(value)
 
 
 def test_passing_relation_builds_no_decode_tables(monkeypatch):

@@ -56,3 +56,13 @@ def test_output_digest_is_stable_and_sees_a_changed_rendering(monkeypatch):
     changed = tool.digests(requests)
     assert changed[0][1] != first[0][1] and changed[-1][1] != first[-1][1]
     assert changed[2] == first[2]  # the refusal renders no polynomial
+
+
+def test_output_digest_requests_every_verify_suite():
+    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from shuflat import identities
+
+    named = {argv[2] for argv in tool.requests() if argv[:2] == ["verify", "--suite"]}
+    assert set(identities.SUITES) <= named

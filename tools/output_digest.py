@@ -33,6 +33,16 @@ def requests():
 
     small = [(m, n) for m in range(5) for n in range(5)]
     out = [["verify", "--suite", "all"], ["verify", "--suite", "all", "--json", REPORT]]
+    # each suite at bounds that are not its defaults, text and report
+    for suite, *bounds in (
+        ("identities", "--max-m", "0", "--max-n", "0"),
+        ("identities", "--max-m", "2", "--max-n", "1"),
+        ("relations", "--max-m", "2", "--max-n", "1"),
+        ("methods", "--max-m", "1", "--max-n", "2", "--series-max", "3"),
+    ):
+        argv = ["verify", "--suite", suite, *bounds]
+        out += [argv, argv + ["--json", REPORT]]
+    out.append(["verify", "--suite", "methods", "--max-m", "5", "--max-n", "5"])  # a refusal: exit 3
     for kind, method in triangles.ROUTES:
         for m, n in small:
             argv = [kind, str(m), str(n), "--method", method, "--force"]
