@@ -34,7 +34,6 @@ from .words import (
     FAMILY_Y,
     DEFAULT_SIZE_CAP,
     _trie,
-    check_size,
     enumerate_shuffle_words,
     singles,
 )
@@ -94,8 +93,7 @@ def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP):
     so.  The covers hold one shared int object per number, so the tuples
     cost a pointer per cover.
     """
-    check_size(m, n, size_cap)
-    states, steps = _trie(m, n)
+    states, steps = _trie(m, n, size_cap)
     span = n + 1
     # per state: the number of children, the offsets of child_x_i and
     # child_y_j from the first child, and b; lists, which index faster

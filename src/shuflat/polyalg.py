@@ -218,9 +218,11 @@ class BivarPoly:
     def subs_q(self, value):
         """Substitute an int for q, leaving a polynomial in t.  Any other
         value, a Fraction or a bool, raises ValueError, as a coefficient
-        that is no int does."""
+        that is no int does, and so does a negative power of q."""
         if type(value) is not int:
             raise ValueError(f"coefficients must be ints, got {value!r}")
+        if any(dq < 0 for dq, _ in self._terms):
+            raise ValueError(f"cannot substitute into a negative exponent, got {min(self._terms)[0]}")
         terms = {}
         for (dq, dt), coeff in self._terms.items():
             key = (0, dt)
@@ -275,7 +277,11 @@ class TruncatedSeries2:
 
     @classmethod
     def from_terms(cls, terms, max_x, max_y):
-        """Series from a sparse {(x_deg, y_deg): BivarPoly or int} map."""
+        """Series from a sparse {(x_deg, y_deg): BivarPoly or int} map; keys
+        beyond the order are dropped, and a negative degree raises ValueError."""
+        for key in terms:
+            if min(key) < 0:
+                raise ValueError(f"series degrees must be nonnegative, got {key!r}")
         coeff = [[ZERO for _ in range(max_y + 1)] for _ in range(max_x + 1)]
         for (i, j), value in terms.items():
             if i <= max_x and j <= max_y:

@@ -45,6 +45,7 @@ tempting +t(1-t)(q+1)xy variant is not.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from .lattices import build_shuffle_lattice, degree_statistics, indel_covers
@@ -297,11 +298,9 @@ def adjudicate_series_cross_term():
 def h_triangle_brute(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """Census sum of q^in(u) t^in_indel(u) over the words, the exponents
     read from each word's bubble lower covers (``degree_statistics``)."""
-    terms = {}
-    for triple in degree_statistics(m, n, size_cap).values():
-        key = (triple.in_total, triple.in_indel)
-        terms[key] = terms.get(key, 0) + 1
-    return BivarPoly(terms)
+    return BivarPoly(Counter(
+        (triple.in_total, triple.in_indel) for triple in degree_statistics(m, n, size_cap).values()
+    ))
 
 
 def h_triangle_formula(m: int, n: int) -> BivarPoly:
@@ -318,11 +317,7 @@ def h_triangle_formula(m: int, n: int) -> BivarPoly:
 
 def rank_generating_poly(m, n, size_cap=BRUTE_SIZE_CAP) -> BivarPoly:
     """sum of q^rank(u) over all shuffle words."""
-    terms = {}
-    for u in enumerate_shuffle_words(m, n, size_cap):
-        key = (rank(u, m), 0)
-        terms[key] = terms.get(key, 0) + 1
-    return BivarPoly(terms)
+    return BivarPoly(Counter((rank(u, m), 0) for u in enumerate_shuffle_words(m, n, size_cap)))
 
 
 # -- dispatch ----------------------------------------------------------
@@ -357,14 +352,14 @@ def compute(kind, m, n, method, size_cap=None) -> BivarPoly:
     """The ``kind`` polynomial of Shuf(m, n) by the route ``method``.
 
     A ``size_cap`` of None gives the route the cap of its ROUTES entry.
-    Unknown kinds and methods and negative sizes raise ValueError before
-    any route runs, so every route sees the same valid input.
+    Unknown kinds and methods and sizes that are not nonnegative ints (a
+    bool too) raise ValueError before any route runs: all see valid input.
     """
     if kind not in METHODS:
         raise ValueError(f"unknown kind {kind!r}")
     if (kind, method) not in ROUTES:
         raise ValueError(f"unknown {kind} method {method!r}")
-    if m < 0 or n < 0:
-        raise ValueError(f"sizes must be nonnegative, got ({m}, {n})")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError(f"sizes must be nonnegative ints, got ({m!r}, {n!r})")
     cap, route = ROUTES[(kind, method)]
     return route(m, n, cap if size_cap is None else size_cap)

@@ -139,7 +139,7 @@ def check_size(m, n, cap):
         raise SizeLimitExceeded(predicted, cap)
 
 
-def _trie(m, n):
+def _trie(m, n, size_cap):
     """The prefix trie of Shuf(m, n), walked breadth first: (states, steps).
 
     A word is in state (a, b) when a and b are its largest x- and y-index
@@ -148,7 +148,9 @@ def _trie(m, n):
     the walk gives the words by length and each length in lexicographic
     order.  states[v] = a * (n + 1) + b is the state of the v-th word, and
     steps[s] = (xr, yr, b) holds the ranges of the i and the j that a child
-    of a word in state s may append, and the state's b."""
+    of a word in state s may append, and the state's b.  ``check_size``
+    refuses an oversized Shuf(m, n) first: the layer's one size refusal."""
+    check_size(m, n, size_cap)
     span = n + 1
     steps = [
         (range(a + 1, m + 1), range(b + 1, span), b) for a in range(m + 1) for b in range(span)
@@ -168,8 +170,7 @@ def enumerate_shuffle_words(m, n, size_cap=DEFAULT_SIZE_CAP):
     letter is the shared object of ``singles``.  Raises SizeLimitExceeded
     when the predicted count is above ``size_cap``.
     """
-    check_size(m, n, size_cap)
-    states, steps = _trie(m, n)
+    states, steps = _trie(m, n, size_cap)
     xs, ys = singles(FAMILY_X, m), singles(FAMILY_Y, n)
     tails = [xs[xr.start : xr.stop] + ys[yr.start : yr.stop] for xr, yr, _ in steps]
     out = [()]

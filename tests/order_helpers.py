@@ -21,9 +21,11 @@ ones, and the substitution q -> -q, t -> -t.
 of the counting step of ``shuflat.triangles.m_triangle_interval``, which
 counts the words per shape by a generating function and reads no word.
 The word helpers below it (``x_letters``, ``y_letters``, ``bottom_word``
-and ``top_word``) serve only the tests.
+and ``top_word``) serve only the tests, and so does ``traced_peak``,
+which the peak-memory tests read.
 """
 
+import tracemalloc
 from collections import namedtuple
 from functools import lru_cache
 
@@ -346,3 +348,21 @@ def upper_cover_census(m, n):
         w: DegreeTriple(indel + transpose, indel, transpose)
         for w, (indel, transpose) in counts.items()
     }
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc saw allocated during the call
+    beyond what was held before it).  Tracing is started for the call and
+    stopped after it, unless it was already on."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

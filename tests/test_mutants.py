@@ -122,8 +122,8 @@ MUTANTS = [
     # having one of indel kind
     (
         "triangles.py",
-        "key = (triple.in_total, triple.in_indel)",
-        "key = (triple.in_total, triple.in_indel + int(triple.in_total == 2 and triple.in_indel == 0))",
+        "(triple.in_total, triple.in_indel) for",
+        "(triple.in_total, triple.in_indel + int(triple.in_total == 2 and triple.in_indel == 0)) for",
         {"h-brute-vs-formula"},
     ),
     # the word enumerator, which both sides of h-rank-generating read,

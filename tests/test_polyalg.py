@@ -712,6 +712,14 @@ def test_substitutions_take_ints_only():
         for value in (True, False):
             with pytest.raises(ValueError, match="coefficients must be ints"):
                 substitute(value)
+    # a negative power of the substituted variable is refused by name,
+    # where 0 would divide by zero and 2 would leave a fraction
+    for poly, name in ((BivarPoly({(-1, 0): 1}), "subs_q"), (BivarPoly({(0, -1): 1}), "subs_t")):
+        for value in (0, 2):
+            with pytest.raises(ValueError, match="negative exponent, got -1"):
+                getattr(poly, name)(value)
+    # a negative power of the other variable stays
+    assert BivarPoly({(1, -1): 2}).subs_q(3) == BivarPoly({(0, -1): 6})
 
 
 def test_passing_relation_builds_no_decode_tables(monkeypatch):
@@ -726,6 +734,14 @@ def test_passing_relation_builds_no_decode_tables(monkeypatch):
     assert identities.verify_h_to_m(3, 2).passed
     assert identities.verify_char_from_h(3, 2).passed
     assert len(made) == 2 and all(s.slices is None and not s.boxes for s in made)
+
+
+def test_from_terms_refuses_a_negative_degree():
+    # unrefused, Python's end-relative indexing would put q in cell (2, 0),
+    # or over the constant term
+    for key, max_x, max_y in (((-1, 0), 2, 0), ((0, -2), 1, 1)):
+        with pytest.raises(ValueError, match=rf"nonnegative, got \({key[0]}, {key[1]}\)"):
+            TruncatedSeries2.from_terms({(0, 0): ONE, key: Q}, max_x, max_y)
 
 
 def test_exponents_must_be_ints():

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import hypothesis
 import pytest
@@ -15,6 +14,7 @@ from order_helpers import (
     interval,
     leq,
     mobius,
+    traced_peak,
     up_set,
 )
 from shuflat.lattices import build_shuffle_lattice, indel_successors
@@ -205,17 +205,7 @@ def test_brute_ch_builds_no_order_closure():
 def test_brute_ch_peak_memory_at_5_4():
     # the lattice and the row of Shuf(5,4) peak near 2.5 MiB; a list of
     # the 25k cover pairs beside the upper lists takes it past 4.5 MiB
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    held = tracemalloc.get_traced_memory()[0]
-    try:
-        ch = char_poly_brute(build_shuffle_lattice(5, 4))
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    ch, peak = traced_peak(lambda: char_poly_brute(build_shuffle_lattice(5, 4)))
     assert ch == char_poly_formula(5, 4)
     assert peak < 3.5 * 2**20, peak / 2**20
 

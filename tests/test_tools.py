@@ -1,9 +1,20 @@
-"""tools/src_lines.py, which counts the lines and code lines of src/shuflat."""
+"""tools/src_lines.py, which counts the lines and code lines of src/shuflat,
+and tools/output_digest.py, which hashes the command line's outputs."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+DIGEST = TOOL.with_name("output_digest.py")
+
+
+def load(path):
+    """The tool script at ``path``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
 
 SAMPLE = '''"""A module docstring,
 over two lines."""
@@ -18,9 +29,7 @@ def f():
 
 
 def test_src_lines_counts_code_lines_and_sums_the_module_rows(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load(TOOL)
 
     path = tmp_path / "sample.py"
     path.write_text(SAMPLE)
@@ -34,13 +43,8 @@ def test_src_lines_counts_code_lines_and_sums_the_module_rows(tmp_path, capsys):
     assert total == ["total", str(sum(int(r[1]) for r in rows)), str(sum(int(r[2]) for r in rows))]
 
 
-DIGEST = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
-
-
 def test_output_digest_is_stable_and_sees_a_changed_rendering(monkeypatch):
-    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load(DIGEST)
     from shuflat.polyalg import BivarPoly
 
     requests = [
@@ -59,10 +63,26 @@ def test_output_digest_is_stable_and_sees_a_changed_rendering(monkeypatch):
 
 
 def test_output_digest_requests_every_verify_suite():
-    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load(DIGEST)
     from shuflat import identities
 
     named = {argv[2] for argv in tool.requests() if argv[:2] == ["verify", "--suite"]}
     assert set(identities.SUITES) <= named
+
+
+def test_output_digest_requests_a_refusal_of_each_capped_command(monkeypatch, capsys):
+    tool = load(DIGEST)
+    from shuflat import cli, triangles
+
+    monkeypatch.delenv("SHUF_SIZE_CAP", raising=False)
+    capped = {"enumerate", "hasse"} | {
+        f"{kind} --method {method}" for (kind, method), (cap, _) in triangles.ROUTES.items() if cap
+    }
+    refused = set()
+    for argv in tool.requests():
+        name = argv[0] if argv[0] in capped else " ".join([argv[0], *argv[3:5]])
+        # the routes at small sizes run with --force, so they are no refusals
+        if name in capped and "--force" not in argv and tool.REPORT not in argv and cli.run(argv) == 3:
+            refused.add(name)
+    capsys.readouterr()
+    assert refused == capped

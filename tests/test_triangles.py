@@ -1,11 +1,10 @@
 import os
 import random
-import tracemalloc
 from math import comb
 
 import pytest
 
-from order_helpers import interval_shape
+from order_helpers import interval_shape, traced_peak
 from shuflat import cli, lattices, poset, triangles
 from shuflat.lattices import build_shuffle_lattice
 from shuflat.identities import run_methods_suite
@@ -201,17 +200,7 @@ def test_m_triangle_brute_names_a_word_that_the_walk_cannot_reach(monkeypatch):
 def test_m_triangle_brute_peak_memory_at_5_4():
     # the derived covers and two levels of down-sets peak near 1.6 MiB
     # under tracemalloc
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    held = tracemalloc.get_traced_memory()[0]
-    try:
-        m_triangle = m_triangle_brute(5, 4, size_cap=10**4)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    m_triangle, peak = traced_peak(lambda: m_triangle_brute(5, 4, size_cap=10**4))
     assert m_triangle == m_triangle_formula(5, 4)
     assert peak < 2.5 * 2**20, peak / 2**20
 
@@ -220,17 +209,7 @@ def test_m_series_coefficient_peak_memory_at_30_30():
     # only the rows in reach and the last cell are held: near 2 MiB under
     # tracemalloc, against about 3 MiB when the last cell of every row was
     # kept to the end
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    held = tracemalloc.get_traced_memory()[0]
-    try:
-        m_triangle = triangles.m_series_coefficient(30, 30)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    m_triangle, peak = traced_peak(lambda: triangles.m_series_coefficient(30, 30))
     assert m_triangle == m_triangle_formula(30, 30)
     assert peak < 2.5 * 2**20, peak / 2**20
 
@@ -500,6 +479,14 @@ def test_brute_size_cap():
 @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
 def test_compute_rejects_negative_sizes(kind, method, m, n):
     with pytest.raises(ValueError, match="nonnegative"):
+        compute(kind, m, n, method)
+
+
+@pytest.mark.parametrize("kind, method", list(ROUTES))
+@pytest.mark.parametrize("m, n", [(True, 1), (1, 2.0)])
+def test_compute_rejects_sizes_that_are_not_ints(kind, method, m, n):
+    # a bool would pass for Shuf(1, 1), and a float would fail inside a route
+    with pytest.raises(ValueError, match="nonnegative ints"):
         compute(kind, m, n, method)
 
 

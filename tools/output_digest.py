@@ -3,8 +3,10 @@
 Two checkouts that print the same total give byte-identical outputs on
 every request of the list.  Each request runs in process through
 ``shuflat.cli.run``; its exit code, stdout and stderr, and the report
-file that ``verify --json`` writes, are hashed together.  One sha256 is
-printed per request, then one over them all:
+file that ``verify --json`` or ``-o`` writes, are hashed together.  Each
+command that has a size cap is also asked once for more than its cap
+allows, so its refusal (exit 3) is hashed too.  One sha256 is printed
+per request, then one over them all:
 
     python tools/output_digest.py [--src DIR]
 
@@ -37,6 +39,7 @@ def requests():
     for suite, *bounds in (
         ("identities", "--max-m", "0", "--max-n", "0"),
         ("identities", "--max-m", "2", "--max-n", "1"),
+        ("identities", "--max-m", "6", "--max-n", "0"),  # tall tables
         ("relations", "--max-m", "2", "--max-n", "1"),
         ("methods", "--max-m", "1", "--max-n", "2", "--series-max", "3"),
     ):
@@ -58,7 +61,16 @@ def requests():
                     out.append(["hasse", str(m), str(n), "--order", order, "--format", form])
             out += [["enumerate", str(m), str(n)], ["enumerate", str(m), str(n), "--json"]]
     out.append(["chpoly", "1", "x"])  # a usage error: exit 2
-    out.append(["enumerate", "4", "4", "--size-cap", "1"])  # a refusal: exit 3
+    # refusals, exit 3: at a cap given, and at each capped route's default
+    out.append(["enumerate", "4", "4", "--size-cap", "1"])
+    out += [["hasse", "4", "4", "--order", order, "--size-cap", "1"] for order in ("shuf", "bub")]
+    out += [
+        ["mtriangle", "5", "4", "--method", "brute"],
+        ["htriangle", "5", "4", "--method", "brute"],
+        ["chpoly", "5", "4", "--method", "brute"],
+        ["mtriangle", "6", "6", "--method", "interval"],
+    ]
+    out += [["series", "3", "2", "-o", REPORT], ["mtriangle", "2", "2", "--method", "formula", "-o", REPORT]]
     return out
 
 
