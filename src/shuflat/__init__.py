@@ -12,7 +12,6 @@ from .lattices import (
     bubble_covers,
     build_shuffle_lattice,
     degree_statistics,
-    indel_successors,
 )
 from .polyalg import (
     ONE,

@@ -142,21 +142,14 @@ def _envelope(payload):
     return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
 
 
-def _write(args, as_json, text, payload):
-    """Write a command's output to -o or stdout.  ``text`` and ``payload``
-    are callables, so only the form that is written is rendered."""
-    _emit(_envelope(payload()) if as_json else text(), args.output)
-
-
 def _cmd_enumerate(args):
     cap = _size_cap(args, words.DEFAULT_SIZE_CAP)
     listing = words.enumerate_shuffle_words(args.m, args.n, cap)
     rendered = [words.format_word(w) for w in listing]
-    _write(
-        args,
-        args.json,
-        lambda: "\n".join(rendered),
-        lambda: {"m": args.m, "n": args.n, "count": len(rendered), "words": rendered},
+    _emit(
+        _envelope({"m": args.m, "n": args.n, "count": len(rendered), "words": rendered})
+        if args.json else "\n".join(rendered),
+        args.output,
     )
     return 0
 
@@ -202,8 +195,8 @@ def _cmd_hasse(args):
         lines.append("}")
         return "\n".join(lines)
 
-    def payload():
-        return {
+    _emit(
+        _envelope({
             "m": args.m,
             "n": args.n,
             "order": args.order,
@@ -212,9 +205,9 @@ def _cmd_hasse(args):
                 {"lower": lo, "upper": hi, **({"kind": kind} if kind else {})}
                 for lo, hi, kind in edges
             ],
-        }
-
-    _write(args, args.format == "json", text, payload)
+        }) if args.format == "json" else text(),
+        args.output,
+    )
     return 0
 
 
@@ -224,17 +217,15 @@ def _cmd_triangle(args):
     if cap is not None:
         cap = _size_cap(args, cap)
     value = triangles.compute(args.command, args.m, args.n, args.method, cap)
-    _write(
-        args,
-        args.json,
-        lambda: str(value),
-        lambda: {
+    _emit(
+        _envelope({
             "kind": args.command,
             "m": args.m,
             "n": args.n,
             "method": args.method,
             "terms": value.to_json_terms(),
-        },
+        }) if args.json else str(value),
+        args.output,
     )
     return 0
 
@@ -248,17 +239,17 @@ def _cmd_series(args):
         for i in range(args.max_m + 1)
         for j in range(args.max_n + 1)
     ]
-    _write(
-        args,
-        args.json,
-        # the pieces are joined in place: a line formatted around a shared
-        # text would copy it once per mirror cell
-        lambda: "".join([piece for i, j, text in cells for piece in (f"({i},{j}): ", text, "\n")]),
-        lambda: {
+    # the text's pieces are joined in place: a line formatted around a
+    # shared text would copy it once per mirror cell
+    _emit(
+        _envelope({
             "max_m": args.max_m,
             "max_n": args.max_n,
             "coefficients": [{"m": i, "n": j, "terms": terms} for i, j, terms in cells],
-        },
+        }) if args.json else "".join(
+            [piece for i, j, text in cells for piece in (f"({i},{j}): ", text, "\n")]
+        ),
+        args.output,
     )
     return 0
 

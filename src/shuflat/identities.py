@@ -177,10 +177,9 @@ def _substitution_verdict(name, m, n, h, target, a, b, c):
     )
     top_q = max([d + tq] + [i * aq + j * bq + d + i - j + (d - i) * cq for (i, j), _ in terms])
     top_t = max([tt] + [i * at + j * bt + (d - i) * ct for (i, j), _ in terms])
-    a1_pow, c1_pow, b1_pow = _powers(1, a1, d), _powers(1, c1, d), _powers(1, b1, 2 * d)
     norm = max(
         t1 << d,
-        sum(abs(k) * a1_pow[i] * b1_pow[j] * c1_pow[d - i] << d + i - j for (i, j), k in terms),
+        sum(abs(k) * a1**i * b1**j * c1 ** (d - i) << d + i - j for (i, j), k in terms),
     )
     slots = _Slots(norm, top_q, top_t)
 
@@ -378,23 +377,27 @@ SUITES = {
 }
 
 
-def run_suites(names, max_m=None, max_n=None, series_max=SERIES_BOUND):
+def run_suites(names, max_m=None, max_n=None, series_max=None):
     """Run the named suites; returns their verdicts, suite by suite.
 
-    An unset bound takes the suite's default: BRUTE_BOUND for the
+    An unset (None) bound takes the suite's default: BRUTE_BOUND for the
     brute-force comparisons, FORMULA_BOUND for the identity and relation
-    checks; the series checks run up to SERIES_BOUND unless told.
-    An unknown name, or a methods suite whose largest brute-force lattice
-    is above the cap, is refused before any suite runs.
+    checks, SERIES_BOUND for the series checks.  No name, an unknown name,
+    a bound that is neither None nor a nonnegative int (a bool is not
+    one), or a methods suite whose largest brute-force lattice is above
+    the cap, is refused before any suite runs: no request passes vacuously.
     """
+    if not names:
+        raise ValueError("no suite named")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    bounds = {
-        key: value
-        for key, value in (("max_m", max_m), ("max_n", max_n))
-        if value is not None
-    }
+    given = {"max_m": max_m, "max_n": max_n, "series_max": series_max}
+    for key, value in given.items():
+        if value is not None and (type(value) is not int or value < 0):
+            raise ValueError(f"{key} must be None or a nonnegative int, got {value!r}")
+    bounds = {key: value for key, value in given.items() if value is not None}
+    series_max = bounds.pop("series_max", SERIES_BOUND)
     if "methods" in names:
         check_size(
             bounds.get("max_m", BRUTE_BOUND),

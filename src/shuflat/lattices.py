@@ -2,11 +2,11 @@
 
 Going up in the shuffle lattice means deleting an x-letter or inserting
 a y-letter (an indel); each indel raises rank by one, so indel edges
-are exactly the covers.  ``indel_successors`` makes the covers of one
-word by that definition.  ``indel_covers`` derives the covers of every
+are exactly the covers.  ``indel_covers`` derives the covers of every
 word from the covers of its prefix, by word number, and makes no word
 to do so (see there); the brute routes and ``shuflat hasse`` read it,
-and the tests check it against ``indel_successors``.
+and the tests check it against covers made one word at a time by the
+definition.
 
 The bubble order on the same words is finer.  Its covers split into
 two kinds:
@@ -49,27 +49,6 @@ class DegreeTriple(namedtuple("DegreeTriple", "in_total in_indel in_transpose"))
     """Lower-cover counts in the bubble order, split by cover kind."""
 
     __slots__ = ()
-
-
-def indel_successors(u, m, n):
-    """All words one indel above u: delete any x-letter, or insert an
-    absent y-letter at any position that keeps the word valid.  The
-    order of the list is unspecified."""
-    out = []
-    ys = singles(FAMILY_Y, n)
-    # each y-letter of u (and y_(n+1) past the end) closes a gap: the
-    # absent indices below it go into the slots lo..hi before it
-    lo = below = 0
-    for hi, letter in enumerate(u + ys[n + 1]):
-        if letter.family == FAMILY_X:
-            out.append(u[:hi] + u[hi + 1 :])
-            continue
-        for y in ys[below + 1 : letter.index]:
-            for pos in range(lo, hi + 1):
-                out.append(u[:pos] + y + u[pos:])
-        lo = hi + 1
-        below = letter.index
-    return out
 
 
 def indel_covers(m, n, size_cap=DEFAULT_SIZE_CAP):

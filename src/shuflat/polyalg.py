@@ -262,18 +262,22 @@ T = BivarPoly.monomial(0, 1)
 
 class TruncatedSeries2:
     """Power series in x and y truncated to a (max_x, max_y) rectangle,
-    with BivarPoly coefficients."""
+    with BivarPoly coefficients: the grid ``coeff``, by default all zero.
+    A truncation order that is not a nonnegative int (a bool is not one)
+    raises ValueError."""
 
     __slots__ = ("max_x", "max_y", "coeff")
 
-    def __init__(self, max_x, max_y, coeff):
+    def __init__(self, max_x, max_y, coeff=None):
+        if type(max_x) is not int or type(max_y) is not int or max_x < 0 or max_y < 0:
+            raise ValueError(f"truncation orders must be nonnegative ints, got {max_x!r}, {max_y!r}")
+        if coeff is None:
+            coeff = [[ZERO] * (max_y + 1) for _ in range(max_x + 1)]
+        if len(coeff) != max_x + 1 or any(len(row) != max_y + 1 for row in coeff):
+            raise ValueError(f"coefficients must form a {max_x + 1} x {max_y + 1} grid")
         self.max_x = max_x
         self.max_y = max_y
         self.coeff = coeff
-        if max_x < 0 or max_y < 0:
-            raise ValueError(f"truncation orders must be nonnegative, got {max_x}, {max_y}")
-        if len(coeff) != max_x + 1 or any(len(row) != max_y + 1 for row in coeff):
-            raise ValueError(f"coefficients must form a {max_x + 1} x {max_y + 1} grid")
 
     @classmethod
     def from_terms(cls, terms, max_x, max_y):
@@ -282,13 +286,13 @@ class TruncatedSeries2:
         for key in terms:
             if min(key) < 0:
                 raise ValueError(f"series degrees must be nonnegative, got {key!r}")
-        coeff = [[ZERO for _ in range(max_y + 1)] for _ in range(max_x + 1)]
+        series = cls(max_x, max_y)
         for (i, j), value in terms.items():
             if i <= max_x and j <= max_y:
                 if isinstance(value, int):
                     value = BivarPoly.constant(value)
-                coeff[i][j] = value
-        return cls(max_x, max_y, coeff)
+                series.coeff[i][j] = value
+        return series
 
     def coefficient(self, i, j) -> BivarPoly:
         return self.coeff[i][j]

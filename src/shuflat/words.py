@@ -122,15 +122,18 @@ def shuffle_word_count(m: int, n: int) -> int:
 
 def check_size(m, n, cap):
     """Raise SizeLimitExceeded when Shuf(m, n) has more than ``cap`` words,
-    and ValueError when m or n is negative.
+    and ValueError, before any count, when m, n or the cap is not a
+    nonnegative int (a bool is not one).
 
     A cap counts as sys.maxsize at most, since no list holds more items.
     The a = 0 term of the count alone is 2^(m+n).  When that is more than
     2^64 times the cap, the size is refused on the bound: the exact count
     costs time and digits that grow with m + n (at (99999999, 1) it takes
     a second and has more digits than ``str`` of an int may print)."""
-    if m < 0 or n < 0:
-        raise ValueError(f"sizes must be nonnegative, got ({m}, {n})")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError(f"sizes must be nonnegative ints, got ({m!r}, {n!r})")
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"a size cap must be a nonnegative int, got {cap!r}")
     cap = min(cap, sys.maxsize)
     if m + n > cap.bit_length() + 64:
         raise SizeLimitExceeded(None, cap, f"at least 2^{m + n}")

@@ -21,8 +21,12 @@ ones, and the substitution q -> -q, t -> -t.
 of the counting step of ``shuflat.triangles.m_triangle_interval``, which
 counts the words per shape by a generating function and reads no word.
 The word helpers below it (``x_letters``, ``y_letters``, ``bottom_word``
-and ``top_word``) serve only the tests, and so does ``traced_peak``,
-which the peak-memory tests read.
+and ``top_word``) serve only the tests.  So does ``indel_successors``,
+which makes the indel covers of one word by their definition: the
+reference for ``shuflat.lattices.indel_covers``, which derives the covers
+of every word at once.  ``traced_peak``, which the peak-memory tests
+read, and ``counting_reads``, which counts the cells a ``_Slots`` reader
+reads, serve only the tests too.
 """
 
 import tracemalloc
@@ -35,9 +39,9 @@ from shuflat.lattices import (
     build_shuffle_lattice,
     upper_bubble_covers,
 )
-from shuflat.polyalg import ONE, Q, ZERO, BivarPoly, TruncatedSeries2
+from shuflat.polyalg import ONE, Q, BivarPoly, TruncatedSeries2, _Slots
 from shuflat.poset import Poset, build_poset
-from shuflat.words import FAMILY_X, FAMILY_Y, Letter, Word, enumerate_shuffle_words
+from shuflat.words import FAMILY_X, FAMILY_Y, Letter, Word, enumerate_shuffle_words, singles
 
 
 class IntervalShape(namedtuple("IntervalShape", "y_count x_blocks y_gaps")):
@@ -93,6 +97,27 @@ def bottom_word(m: int) -> Word:
 def top_word(n: int) -> Word:
     """The maximum element y1 y2 ... yn."""
     return tuple(Letter(FAMILY_Y, j) for j in range(1, n + 1))
+
+
+def indel_successors(u, m, n):
+    """All words one indel above u: delete any x-letter, or insert an
+    absent y-letter at any position that keeps the word valid.  The
+    order of the list is unspecified."""
+    out = []
+    ys = singles(FAMILY_Y, n)
+    # each y-letter of u (and y_(n+1) past the end) closes a gap: the
+    # absent indices below it go into the slots lo..hi before it
+    lo = below = 0
+    for hi, letter in enumerate(u + ys[n + 1]):
+        if letter.family == FAMILY_X:
+            out.append(u[:hi] + u[hi + 1 :])
+            continue
+        for y in ys[below + 1 : letter.index]:
+            for pos in range(lo, hi + 1):
+                out.append(u[:pos] + y + u[pos:])
+        lo = hi + 1
+        below = letter.index
+    return out
 
 
 def bucket_sum(buckets, mask: int) -> int:
@@ -312,14 +337,14 @@ def substitution_sides(m, n, h, target, a, b, c):
 def series_product(a, b):
     """a * b truncated at the smaller of their orders, cell by cell as
     the sum of a[i][j] * b[m-i][n-j]."""
-    max_x, max_y = min(a.max_x, b.max_x), min(a.max_y, b.max_y)
-    coeff = [[ZERO] * (max_y + 1) for _ in range(max_x + 1)]
-    for m in range(max_x + 1):
-        for n in range(max_y + 1):
+    product = TruncatedSeries2(min(a.max_x, b.max_x), min(a.max_y, b.max_y))
+    coeff = product.coeff
+    for m in range(product.max_x + 1):
+        for n in range(product.max_y + 1):
             for i in range(m + 1):
                 for j in range(n + 1):
                     coeff[m][n] = coeff[m][n] + a.coeff[i][j] * b.coeff[m - i][n - j]
-    return TruncatedSeries2(max_x, max_y, coeff)
+    return product
 
 
 def corner(series, i, j):
@@ -366,3 +391,18 @@ def traced_peak(fn):
         if not tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def counting_reads(monkeypatch, reader):
+    """The list of the boxes that the ``_Slots`` method ``reader`` reads
+    from now on, one per cell read: the method is wrapped on the class
+    through ``monkeypatch``, which puts it back after the test."""
+    boxes = []
+    read = getattr(_Slots, reader)
+
+    def counted(self, value, box):
+        boxes.append(box)
+        return read(self, value, box)
+
+    monkeypatch.setattr(_Slots, reader, counted)
+    return boxes

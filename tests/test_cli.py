@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from order_helpers import counting_reads
 from shuflat import cli, identities, triangles, words
 from shuflat.poset import NotGraded
 
@@ -145,34 +146,24 @@ def test_series_command(capsys):
 def test_series_renders_each_mirror_pair_once(capsys, monkeypatch):
     from shuflat import polyalg
 
-    rendered = []
-
-    def counting(reader):
-        read = getattr(polyalg._Slots, reader)
-
-        def counted(self, value, box):
-            rendered.append(box)
-            return read(self, value, box)
-
-        monkeypatch.setattr(polyalg._Slots, reader, counted)
-
     def refused(*args):
         raise AssertionError("a series cell went through a BivarPoly")
 
     # each cell is written straight from its packed int, never from a
     # BivarPoly and its sorted terms
-    for reader in ("text", "json"):
-        counting(reader)
+    reads = {reader: counting_reads(monkeypatch, reader) for reader in ("text", "json")}
     for name in ("__str__", "to_json_terms"):
         monkeypatch.setattr(polyalg.BivarPoly, name, refused)
     monkeypatch.setattr(polyalg, "_ordered", refused)
     # (M + 1)(N + 1) cells, less the k(k - 1)/2 mirror cells of the
     # k x k square, k = min(M, N) + 1
     for m, n, distinct in ((4, 2, 12), (2, 4, 12), (3, 3, 10)):
-        for extra in ((), ("--json",)):
-            rendered.clear()
+        for extra, reader, other in (((), "text", "json"), (("--json",), "json", "text")):
+            for boxes in reads.values():
+                boxes.clear()
             assert run_cli(capsys, "series", str(m), str(n), *extra)[0] == 0
-            assert len(rendered) == distinct
+            # only the written form is read, each mirror pair once
+            assert len(reads[reader]) == distinct and not reads[other]
 
 
 def _series_oracle(m, n, as_json):

@@ -378,3 +378,36 @@ def test_specializations_report_first_failure(monkeypatch):
     )
     assert not verdict.passed
     assert verdict.detail == "M(1,t) at (1, 0)"
+
+
+@pytest.mark.parametrize(
+    "names, bounds",
+    [
+        ([], {}),
+        (["relations"], {"max_m": True, "max_n": 0}),
+        (["relations"], {"max_m": 1.0}),
+        (["identities"], {"max_n": "2"}),
+        (["methods"], {"max_n": -1}),
+        (["methods"], {"series_max": 2.5}),
+        (["methods"], {"series_max": True}),
+    ],
+    ids=["no_suite", "bool_max_m", "float_max_m", "str_max_n", "negative_max_n", "float_series", "bool_series"],
+)
+def test_run_suites_refuses_a_vacuous_or_malformed_request(monkeypatch, names, bounds):
+    # no suite would print "0/0 checks passed", a bool bound would run as
+    # 1, and a float one would fail in the middle of a suite
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(identities, "SUITES", dict.fromkeys(identities.SUITES, refuse))
+    with pytest.raises(ValueError, match="no suite named|must be None or a nonnegative int"):
+        identities.run_suites(names, **bounds)
+
+
+def test_run_suites_takes_none_for_a_default_bound(monkeypatch):
+    # an omitted series bound and a None one reach the suite as SERIES_BOUND
+    seen = []
+    monkeypatch.setattr(identities, "SUITES", {"methods": lambda bounds, s: seen.append(s) or []})
+    identities.run_suites(["methods"], 0, 0)
+    identities.run_suites(["methods"], 0, 0, series_max=None)
+    assert seen == [identities.SERIES_BOUND] * 2

@@ -4,6 +4,7 @@ import pytest
 
 from order_helpers import (
     bottom_word,
+    indel_successors,
     interval_decomposition_map,
     interval_is_product,
     mobius,
@@ -18,7 +19,6 @@ from shuflat.lattices import (
     build_shuffle_lattice,
     degree_statistics,
     indel_covers,
-    indel_successors,
 )
 from shuflat.words import (
     SizeLimitExceeded,

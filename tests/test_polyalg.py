@@ -6,7 +6,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from order_helpers import corner, negate_vars, series_product
+from order_helpers import corner, counting_reads, negate_vars, series_product
 from shuflat import cli, identities, polyalg
 from shuflat.polyalg import (
     ONE,
@@ -527,28 +527,16 @@ def test_column_reader_matches_recurrence_oracle(d):
         assert column == [oracle.coefficient(m, n) for m in range(d.max_x + 1)]
 
 
-def counting_unpacks(monkeypatch, reader="decode"):
-    calls = []
-    read = getattr(polyalg._Slots, reader)
-
-    def counted(self, value, box):
-        calls.append(box)
-        return read(self, value, box)
-
-    monkeypatch.setattr(polyalg._Slots, reader, counted)
-    return calls
-
-
 def test_series_route_unpacks_one_cell(monkeypatch, capsys):
-    calls = counting_unpacks(monkeypatch)
+    calls = counting_reads(monkeypatch, "decode")
     assert cli.run(["mtriangle", "6", "6", "--method", "series"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.startswith("q^12*t^12 - ")
 
 
 def test_series_command_unpacks_each_mirror_pair_once(monkeypatch, capsys):
-    calls = counting_unpacks(monkeypatch, "text")
-    decoded = counting_unpacks(monkeypatch)
+    calls = counting_reads(monkeypatch, "text")
+    decoded = counting_reads(monkeypatch, "decode")
     assert cli.run(["series", "3", "2"]) == 0
     # the tall series runs through its transpose: 3 rows of 4 cells, of
     # which the 3 left of the diagonal are mirror cells; each of the
@@ -742,6 +730,16 @@ def test_from_terms_refuses_a_negative_degree():
     for key, max_x, max_y in (((-1, 0), 2, 0), ((0, -2), 1, 1)):
         with pytest.raises(ValueError, match=rf"nonnegative, got \({key[0]}, {key[1]}\)"):
             TruncatedSeries2.from_terms({(0, 0): ONE, key: Q}, max_x, max_y)
+
+
+def test_series_refuses_a_truncation_order_that_is_not_an_int():
+    # a bool order would make and invert a series, and a float one would
+    # fail inside range; both constructors go through the one check
+    for max_x, max_y in ((True, 1), (1, False), (1.0, 1), (1, "1")):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            TruncatedSeries2.from_terms({(0, 0): ONE, (1, 0): -Q}, max_x, max_y)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            TruncatedSeries2(max_x, max_y, [[ONE, ZERO], [ZERO, ZERO]])
 
 
 def test_exponents_must_be_ints():

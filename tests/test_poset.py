@@ -11,13 +11,14 @@ from order_helpers import (
     check_order_isomorphism,
     direct_product,
     down_mask,
+    indel_successors,
     interval,
     leq,
     mobius,
     traced_peak,
     up_set,
 )
-from shuflat.lattices import build_shuffle_lattice, indel_successors
+from shuflat.lattices import build_shuffle_lattice
 from shuflat.poset import CycleDetected, NotGraded, build_poset, mobius_levels, plane_put_run
 from shuflat.triangles import char_poly_brute, char_poly_formula
 from shuflat.words import enumerate_shuffle_words

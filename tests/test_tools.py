@@ -1,7 +1,9 @@
 """tools/src_lines.py, which counts the lines and code lines of src/shuflat,
 and tools/output_digest.py, which hashes the command line's outputs."""
 
+import argparse
 import importlib.util
+from itertools import product
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
@@ -86,3 +88,30 @@ def test_output_digest_requests_a_refusal_of_each_capped_command(monkeypatch, ca
             refused.add(name)
     capsys.readouterr()
     assert refused == capped
+
+
+def given(argv, action):
+    """The value that ``argv`` gives the option ``action``, else its default."""
+    for option in action.option_strings:
+        if option in argv:
+            return argv[argv.index(option) + 1]
+    return action.default
+
+
+def test_output_digest_requests_every_command_in_every_form():
+    # read off the parser, so that a new command, choice or --json flag
+    # cannot skip the byte-identity check
+    tool = load(DIGEST)
+    from shuflat import cli
+
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    sent = tool.requests()
+    for command, parser in commands.choices.items():
+        mine = [argv for argv in sent if argv[0] == command]
+        options = [a for a in parser._actions if a.option_strings]
+        # every combination of the choices, e.g. each hasse --order x --format pair
+        chosen = [a for a in options if a.choices]
+        seen = {tuple(given(argv, a) for a in chosen) for argv in mine}
+        assert seen >= set(product(*(a.choices for a in chosen))), command
+        if any("--json" in a.option_strings for a in options):
+            assert {"--json" in argv for argv in mine} == {True, False}, command

@@ -3,9 +3,22 @@ from itertools import combinations, permutations
 
 import pytest
 
-from order_helpers import bottom_word, interval_shape, top_word, x_letters, y_letters
-from shuflat.lattices import bubble_covers, build_shuffle_lattice, indel_covers, indel_successors
-from shuflat.triangles import h_triangle_brute, m_triangle_brute, m_triangle_interval
+from order_helpers import (
+    bottom_word,
+    indel_successors,
+    interval_shape,
+    top_word,
+    x_letters,
+    y_letters,
+)
+from shuflat.lattices import bubble_covers, build_shuffle_lattice, indel_covers
+from shuflat.triangles import (
+    ROUTES,
+    compute,
+    h_triangle_brute,
+    m_triangle_brute,
+    m_triangle_interval,
+)
 from shuflat.words import (
     DuplicateLetter,
     IndexOutOfRange,
@@ -189,13 +202,57 @@ def test_a_cap_above_sys_maxsize_counts_as_sys_maxsize():
         lambda: m_triangle_brute(-1, 2),
         lambda: h_triangle_brute(-1, 2),
         lambda: m_triangle_interval(-1, 2),
+        # a bool size would pass for 1 or 0, and a float one fail in a count
+        lambda: enumerate_shuffle_words(True, 1),
+        lambda: enumerate_shuffle_words(2.0, 1),
+        lambda: indel_covers(1, False),
+        lambda: build_shuffle_lattice(1, 1.0),
+        lambda: bubble_covers(True, 0),
+        lambda: m_triangle_brute(1.0, 1),
+        lambda: h_triangle_brute(1, True),
+        lambda: m_triangle_interval(2.0, 1),
     ],
-    ids=["enumerate", "indel_covers", "lattice", "bubble", "brute_m", "brute_h", "interval"],
+    ids=[
+        "enumerate",
+        "indel_covers",
+        "lattice",
+        "bubble",
+        "brute_m",
+        "brute_h",
+        "interval",
+        "enumerate_bool",
+        "enumerate_float",
+        "indel_covers_bool",
+        "lattice_float",
+        "bubble_bool",
+        "brute_m_float",
+        "brute_h_bool",
+        "interval_float",
+    ],
 )
 def test_a_negative_size_is_refused_by_the_size_check(call):
     # each of these calls check_size before any other work
     with pytest.raises(ValueError, match="sizes must be nonnegative"):
         call()
+
+
+@pytest.mark.parametrize("cap", [2.5, "9", True, -1])
+def test_a_size_cap_that_is_not_a_nonnegative_int_is_refused(cap):
+    # a float cap failed inside the count, and a bool or negative one
+    # refused every size as "above the cap"
+    calls = [
+        lambda: enumerate_shuffle_words(1, 1, size_cap=cap),
+        lambda: indel_covers(1, 1, size_cap=cap),
+    ]
+    calls += [
+        lambda kind=kind, method=method: compute(kind, 1, 1, method, size_cap=cap)
+        for (kind, method), (default, _) in ROUTES.items()
+        if default is not None
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="size cap must be a nonnegative int") as err:
+            call()
+        assert type(err.value) is ValueError and repr(cap) in str(err.value)
 
 
 def test_words_share_one_letter_object_per_letter():
